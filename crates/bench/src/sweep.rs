@@ -12,7 +12,6 @@
 //! * results and journals come back in **task order**, making parallel
 //!   output byte-identical to a sequential run.
 
-use crate::timing;
 use openarc_core::exec::ExecOptions;
 use openarc_core::pipeline::Session;
 use openarc_core::sched::run_tasks;
@@ -158,16 +157,6 @@ impl Sweep {
             parts.push(evs);
         }
         Ok((rows, merge_parts(parts)))
-    }
-
-    /// Measure the wall-clock cost of [`Sweep::matrix`] at this sweep's
-    /// worker count over `samples` runs. Each sample uses a fresh session
-    /// so compilation cost is included (otherwise every sample after the
-    /// first would measure only execution).
-    pub fn time_matrix(&self, samples: usize) -> timing::Stats {
-        timing::measure(samples, || {
-            Sweep::new(self.scale, self.jobs).matrix().unwrap()
-        })
     }
 }
 

@@ -7,12 +7,9 @@
 //! serialized Frontend, Translated, and journal-replay Run artifacts.
 //!
 //! Entries are written in the versioned binary format of [`bin`]
-//! (normative spec: `docs/FORMAT.md`). The JSON codec in [`codec`] is
-//! retained as the human-readable debug/export interchange (`openarc
-//! cache export`), and the store still *reads* legacy `<key>.json`
-//! entries: a hit on one transparently re-encodes it as `<key>.bin` and
-//! retires the JSON file, so a store written by an older build upgrades
-//! in place as it is used.
+//! (normative spec: `docs/FORMAT.md`), the store's only format. Legacy
+//! `<key>.json` entries from older builds are never read; the directory
+//! walk behind [`DiskCache::gc`] and [`DiskCache::clear`] deletes them.
 //!
 //! Design rules, all load-bearing:
 //!
@@ -33,11 +30,9 @@
 //!   store fits a byte budget.
 
 pub mod bin;
-pub mod codec;
 
 use crate::exec::RunResult;
 use crate::pipeline::{ArtifactId, Fnv, FrontendArtifact, Stage, TranslatedArtifact};
-use openarc_trace::json::Json;
 use openarc_trace::TraceEvent;
 use std::fs;
 use std::io::Write;
@@ -46,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
 /// On-disk layout version; folded into every entry key. Bump when any
-/// [`bin`] or [`codec`] encoding changes shape.
+/// [`bin`] encoding changes shape.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Default cache directory used by the CLI and bench drivers.
@@ -113,25 +108,10 @@ pub struct GcResult {
 pub struct UsageRow {
     /// Stage directory label.
     pub stage: &'static str,
-    /// Number of entries (all formats).
+    /// Number of entries.
     pub entries: u64,
-    /// Total bytes (all formats).
+    /// Total bytes of those entries.
     pub bytes: u64,
-    /// Entries in the primary binary format (`.bin`).
-    pub bin_entries: u64,
-    /// Entries still in the legacy JSON format (`.json`); these upgrade
-    /// to binary in place on their next hit.
-    pub json_entries: u64,
-}
-
-/// Outcome of [`DiskCache::export_json`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExportReport {
-    /// Entries successfully written to the target store.
-    pub exported: u64,
-    /// Entries that failed to decode or publish; left in place, the
-    /// export never mutates the source store.
-    pub skipped: u64,
 }
 
 /// The content-addressed on-disk artifact store.
@@ -233,10 +213,10 @@ impl DiskCache {
         h.finish()
     }
 
-    fn entry_path(&self, stage: Stage, key: u64, ext: &str) -> PathBuf {
+    fn entry_path(&self, stage: Stage, key: u64) -> PathBuf {
         self.root
             .join(stage.label())
-            .join(format!("{key:016x}.{ext}"))
+            .join(format!("{key:016x}.bin"))
     }
 
     /// Re-touch an entry's mtime for LRU: [`DiskCache::gc`] evicts
@@ -247,74 +227,21 @@ impl DiskCache {
         }
     }
 
-    /// Format-negotiating lookup of `(stage, id)`: the primary `.bin`
-    /// entry is tried first; absent that, a legacy `.json` entry is
-    /// decoded and — on a hit — re-encoded with `reencode` and upgraded to
-    /// `.bin` in place. Any decode failure deletes the offending file and
-    /// reports [`Lookup::Corrupt`]; the caller recomputes.
+    /// Look up `(stage, id)` and decode it with `decode`. A decode
+    /// failure deletes the entry and reports [`Lookup::Corrupt`]; the
+    /// caller recomputes.
     fn load_entry<T>(
         &self,
         stage: Stage,
         id: ArtifactId,
-        decode_bin: impl FnOnce(&[u8]) -> Result<T, String>,
-        decode_json: impl FnOnce(&Json) -> Result<T, String>,
-        reencode: impl FnOnce(&T) -> Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Lookup<T> {
-        let key = self.entry_key(stage, id);
-        let bin_path = self.entry_path(stage, key, "bin");
-        if let Ok(bytes) = fs::read(&bin_path) {
-            return match decode_bin(&bytes) {
-                Ok(v) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Self::touch(&bin_path);
-                    Lookup::Hit(v)
-                }
-                Err(_) => {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    let _ = fs::remove_file(&bin_path);
-                    Lookup::Corrupt
-                }
-            };
-        }
-        match self.load_with(stage, id, decode_json) {
-            Lookup::Hit(v) => {
-                // Migrate the legacy entry to the primary format so the
-                // next load takes the fast path. Not counted as a store:
-                // no new artifact was published. The JSON file is only
-                // retired once the binary entry is durably in place.
-                if self.publish(stage, key, "bin", &reencode(&v)) {
-                    let _ = fs::remove_file(self.entry_path(stage, key, "json"));
-                }
-                Lookup::Hit(v)
-            }
-            other => other,
-        }
-    }
-
-    /// Look up `(stage, id)` in the legacy JSON interchange only,
-    /// validating the versioned header and decoding the payload with
-    /// `decode`. Any failure past "file exists" deletes the entry and
-    /// reports [`Lookup::Corrupt`]; the caller recomputes. Binary-format
-    /// entries are invisible to this method — the typed loaders
-    /// ([`DiskCache::load_frontend`] &c.) negotiate both formats.
-    pub fn load_with<T>(
-        &self,
-        stage: Stage,
-        id: ArtifactId,
-        decode: impl FnOnce(&Json) -> Result<T, String>,
-    ) -> Lookup<T> {
-        let key = self.entry_key(stage, id);
-        let path = self.entry_path(stage, key, "json");
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Miss;
-            }
+        let path = self.entry_path(stage, self.entry_key(stage, id));
+        let Ok(bytes) = fs::read(&path) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Miss;
         };
-        let decoded = Json::parse(&text)
-            .and_then(|entry| Self::check_header(&entry, stage, id).and_then(decode));
-        match decoded {
+        match decode(&bytes) {
             Ok(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Self::touch(&path);
@@ -328,115 +255,54 @@ impl DiskCache {
         }
     }
 
-    /// Look up a frontend artifact, preferring the binary entry and
-    /// upgrading a legacy JSON one in place.
+    /// Look up a frontend artifact.
     pub fn load_frontend(&self, id: ArtifactId) -> Lookup<FrontendArtifact> {
-        self.load_entry(
-            Stage::Frontend,
-            id,
-            |bytes| bin::decode_frontend(id, bytes),
-            |p| codec::frontend_from_payload(id, p),
-            bin::encode_frontend,
-        )
+        self.load_entry(Stage::Frontend, id, |bytes| bin::decode_frontend(id, bytes))
     }
 
     /// Look up a translation artifact stored under `stage`
-    /// ([`Stage::Analysis`] or [`Stage::Instrument`]), preferring the
-    /// binary entry and upgrading a legacy JSON one in place.
+    /// ([`Stage::Analysis`] or [`Stage::Instrument`]).
     pub fn load_translated(&self, stage: Stage, id: ArtifactId) -> Lookup<TranslatedArtifact> {
-        self.load_entry(
-            stage,
-            id,
-            |bytes| bin::decode_translated(stage, id, bytes),
-            |p| codec::translated_from_payload(id, p),
-            |art| bin::encode_translated(stage, art),
-        )
+        self.load_entry(stage, id, |bytes| bin::decode_translated(stage, id, bytes))
     }
 
-    /// Look up a finished run (surface + journal events), preferring the
-    /// binary entry and upgrading a legacy JSON one in place.
+    /// Look up a finished run (surface + journal events).
     pub fn load_run(&self, id: ArtifactId) -> Lookup<(RunResult, Vec<TraceEvent>)> {
-        self.load_entry(
-            Stage::Execute,
-            id,
-            |bytes| bin::decode_run(id, bytes),
-            codec::run_from_payload,
-            |(r, events)| bin::encode_run(id, r, events),
-        )
+        self.load_entry(Stage::Execute, id, |bytes| bin::decode_run(id, bytes))
     }
 
-    /// Publish a frontend artifact in the primary binary format.
+    /// Publish a frontend artifact.
     pub fn store_frontend(&self, art: &FrontendArtifact) -> bool {
         self.store_bytes(Stage::Frontend, art.id, &bin::encode_frontend(art))
     }
 
     /// Publish a translation artifact under `stage` ([`Stage::Analysis`]
-    /// or [`Stage::Instrument`]) in the primary binary format.
+    /// or [`Stage::Instrument`]).
     pub fn store_translated(&self, stage: Stage, art: &TranslatedArtifact) -> bool {
         self.store_bytes(stage, art.id, &bin::encode_translated(stage, art))
     }
 
-    /// Publish a finished run (surface + journal events) in the primary
-    /// binary format.
+    /// Publish a finished run (surface + journal events).
     pub fn store_run(&self, id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> bool {
         self.store_bytes(Stage::Execute, id, &bin::encode_run(id, r, events))
     }
 
+    /// Publish `bytes` for `(stage, id)`. Returns true when this call
+    /// wrote the entry (false: lock held by a live concurrent writer, or
+    /// I/O failure — both benign).
     fn store_bytes(&self, stage: Stage, id: ArtifactId, bytes: &[u8]) -> bool {
-        let ok = self.publish(stage, self.entry_key(stage, id), "bin", bytes);
+        let ok = self.publish(stage, self.entry_key(stage, id), bytes);
         if ok {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
         ok
     }
 
-    /// Validate a parsed entry's versioned header, returning the payload.
-    /// The schema/tool fields are folded into the key, so a mismatch here
-    /// means the entry bytes were tampered with or damaged — corruption.
-    fn check_header(entry: &Json, stage: Stage, id: ArtifactId) -> Result<&Json, String> {
-        let field = |k: &str| entry.get(k).ok_or_else(|| format!("missing header `{k}`"));
-        if field("schema")?.as_u64() != Some(SCHEMA_VERSION) {
-            return Err("schema version mismatch".into());
-        }
-        if field("tool")?.as_str() != Some(tool_fingerprint()) {
-            return Err("tool fingerprint mismatch".into());
-        }
-        if field("stage")?.as_str() != Some(stage.label()) {
-            return Err("stage mismatch".into());
-        }
-        if field("id")?.as_u64() != Some(id.0) {
-            return Err("artifact id mismatch".into());
-        }
-        field("payload")
-    }
-
-    /// Publish `payload` for `(stage, id)` as a legacy JSON entry under a
-    /// versioned header. This is the export/debug interchange writer
-    /// (`openarc cache export`); the pipeline itself stores binary
-    /// entries via the typed methods. Returns true when this call wrote
-    /// the entry (false: lock held by a live concurrent writer, or I/O
-    /// failure — both benign).
-    pub fn store(&self, stage: Stage, id: ArtifactId, payload: Json) -> bool {
-        let entry = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(stage.label())),
-            ("id", Json::from(id.0)),
-            ("payload", payload),
-        ]);
-        let key = self.entry_key(stage, id);
-        let ok = self.publish(stage, key, "json", entry.pretty().as_bytes());
-        if ok {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    /// Atomically publish raw entry bytes at `<stage>/<key>.<ext>`:
-    /// private temp file, fsync, rename. Both formats of one key share
-    /// one `<key>.lock` writer lock.
-    fn publish(&self, stage: Stage, key: u64, ext: &str, bytes: &[u8]) -> bool {
-        let path = self.entry_path(stage, key, ext);
+    /// Atomically publish raw entry bytes at `<stage>/<key>.bin`:
+    /// private temp file, fsync, rename, under the `<key>.lock` writer
+    /// lock.
+    fn publish(&self, stage: Stage, key: u64, bytes: &[u8]) -> bool {
+        let path = self.entry_path(stage, key);
         let Some(dir) = path.parent() else {
             return false;
         };
@@ -499,7 +365,8 @@ impl DiskCache {
     }
 
     /// Every entry in the store: `(path, bytes, mtime)`, unsorted. Also
-    /// sweeps abandoned temp files and stale locks as a side effect.
+    /// sweeps abandoned temp files, stale locks and legacy `.json`
+    /// entries (which no lookup addresses) as a side effect.
     fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
         for stage in DISK_STAGES {
@@ -517,7 +384,11 @@ impl DiskCache {
                     }
                     continue;
                 }
-                if !name.ends_with(".bin") && !name.ends_with(".json") {
+                if name.ends_with(".json") {
+                    let _ = fs::remove_file(&path);
+                    continue;
+                }
+                if !name.ends_with(".bin") {
                     continue;
                 }
                 if let Ok(meta) = entry.metadata() {
@@ -529,7 +400,7 @@ impl DiskCache {
         out
     }
 
-    /// Per-stage entry counts, sizes, and format mix.
+    /// Per-stage entry counts and sizes.
     pub fn usage(&self) -> Vec<UsageRow> {
         DISK_STAGES
             .iter()
@@ -541,123 +412,18 @@ impl DiskCache {
                 };
                 if let Ok(rd) = fs::read_dir(&dir) {
                     for entry in rd.flatten() {
-                        let name = entry.file_name();
-                        let name = name.to_string_lossy();
-                        let is_bin = name.ends_with(".bin");
-                        if !is_bin && !name.ends_with(".json") {
+                        if !entry.file_name().to_string_lossy().ends_with(".bin") {
                             continue;
                         }
                         if let Ok(meta) = entry.metadata() {
                             row.entries += 1;
                             row.bytes += meta.len();
-                            if is_bin {
-                                row.bin_entries += 1;
-                            } else {
-                                row.json_entries += 1;
-                            }
                         }
                     }
                 }
                 row
             })
             .collect()
-    }
-
-    /// Re-encode every entry into a legacy-JSON store rooted at `dest` —
-    /// the engine behind `openarc cache export`. Binary entries decode
-    /// through [`bin`] and re-encode through [`codec`] under the versioned
-    /// JSON header; entries still in the JSON format copy through
-    /// verbatim. Undecodable or unwritable entries are counted in
-    /// [`ExportReport::skipped`] and otherwise ignored; the source store
-    /// is never modified.
-    pub fn export_json(&self, dest: &DiskCache) -> ExportReport {
-        let mut report = ExportReport::default();
-        for stage in DISK_STAGES {
-            let dir = self.root.join(stage.label());
-            let Ok(rd) = fs::read_dir(&dir) else {
-                continue;
-            };
-            for entry in rd.flatten() {
-                let path = entry.path();
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let ok = if name.ends_with(".bin") {
-                    fs::read(&path)
-                        .ok()
-                        .and_then(|bytes| bin::decode_entry(stage, &bytes).ok())
-                        .map(|(id, art)| {
-                            let payload = match art {
-                                bin::Artifact::Frontend(fe) => {
-                                    codec::frontend_payload(&fe.program, &fe.sema)
-                                }
-                                bin::Artifact::Translated(tr) => codec::translated_payload(&tr),
-                                bin::Artifact::Run(run) => codec::run_payload(&run.0, &run.1),
-                            };
-                            dest.store(stage, id, payload)
-                        })
-                        .unwrap_or(false)
-                } else if let Some(stem) = name.strip_suffix(".json") {
-                    match (u64::from_str_radix(stem, 16), fs::read(&path)) {
-                        (Ok(key), Ok(bytes)) => dest.publish(stage, key, "json", &bytes),
-                        _ => false,
-                    }
-                } else {
-                    continue;
-                };
-                if ok {
-                    report.exported += 1;
-                } else {
-                    report.skipped += 1;
-                }
-            }
-        }
-        report
-    }
-
-    /// Sequentially decode every `ext`-format (`"bin"` or `"json"`) entry
-    /// under `stage`, discarding the artifacts; returns the number
-    /// decoded, or the first decode error. This is the measured operation
-    /// behind the pipeline bench's per-codec `warm_load_us` comparison —
-    /// it is counter-neutral (no hit/miss/corrupt accounting) and never
-    /// deletes or upgrades entries. Entries are visited in sorted path
-    /// order so repeated passes do identical work.
-    pub fn decode_stage(&self, stage: Stage, ext: &str) -> Result<u64, String> {
-        let dir = self.root.join(stage.label());
-        let Ok(rd) = fs::read_dir(&dir) else {
-            return Ok(0);
-        };
-        let mut paths: Vec<PathBuf> = rd
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == ext))
-            .collect();
-        paths.sort();
-        let fail = |path: &Path, e: String| format!("{}: {e}", path.display());
-        for path in &paths {
-            if ext == "bin" {
-                let bytes = fs::read(path).map_err(|e| fail(path, e.to_string()))?;
-                bin::decode_entry(stage, &bytes).map_err(|e| fail(path, e))?;
-            } else {
-                let text = fs::read_to_string(path).map_err(|e| fail(path, e.to_string()))?;
-                let entry = Json::parse(&text).map_err(|e| fail(path, e))?;
-                let id = entry
-                    .get("id")
-                    .and_then(|j| j.as_u64())
-                    .map(ArtifactId)
-                    .ok_or_else(|| fail(path, "missing header `id`".into()))?;
-                let payload = Self::check_header(&entry, stage, id).map_err(|e| fail(path, e))?;
-                match stage {
-                    Stage::Frontend => codec::frontend_from_payload(id, payload).map(|_| ()),
-                    Stage::Analysis | Stage::Instrument => {
-                        codec::translated_from_payload(id, payload).map(|_| ())
-                    }
-                    Stage::Execute => codec::run_from_payload(payload).map(|_| ()),
-                    _ => Err(format!("stage {} is not persisted", stage.label())),
-                }
-                .map_err(|e| fail(path, e))?;
-            }
-        }
-        Ok(paths.len() as u64)
     }
 
     /// Recompute-cost rank of an entry, derived from the stage directory
@@ -717,8 +483,8 @@ impl DiskCache {
         result
     }
 
-    /// Delete every entry (and abandoned temp/lock file). Returns the
-    /// number of entries removed.
+    /// Delete every entry (and abandoned temp, lock or legacy `.json`
+    /// file). Returns the number of entries removed.
     pub fn clear(&self) -> u64 {
         let mut removed = 0;
         for stage in DISK_STAGES {
@@ -729,7 +495,7 @@ impl DiskCache {
             for entry in rd.flatten() {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                let is_entry = name.ends_with(".bin") || name.ends_with(".json");
+                let is_entry = name.ends_with(".bin");
                 if fs::remove_file(entry.path()).is_ok() && is_entry {
                     removed += 1;
                 }
@@ -756,85 +522,38 @@ mod tests {
         dir
     }
 
-    fn payload(n: u64) -> Json {
-        Json::obj(vec![("n", Json::from(n))])
+    /// Store the 8-byte payload `n` under `(stage, id)`.
+    fn store_n(cache: &DiskCache, stage: Stage, id: u64, n: u64) -> bool {
+        cache.store_bytes(stage, ArtifactId(id), &n.to_le_bytes())
     }
 
-    fn decode_n(v: &Json) -> Result<u64, String> {
-        v.get("n")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "missing n".to_string())
+    /// Load the payload stored by [`store_n`].
+    fn load_n(cache: &DiskCache, stage: Stage, id: u64) -> Lookup<u64> {
+        cache.load_entry(stage, ArtifactId(id), |bytes| {
+            bytes
+                .try_into()
+                .map(u64::from_le_bytes)
+                .map_err(|_| "payload is not 8 bytes".to_string())
+        })
+    }
+
+    fn entry_path(cache: &DiskCache, stage: Stage, id: u64) -> PathBuf {
+        cache.entry_path(stage, cache.entry_key(stage, ArtifactId(id)))
     }
 
     #[test]
     fn store_then_load_round_trips_and_counts() {
         let cache = DiskCache::new(scratch("roundtrip"));
-        let id = ArtifactId(7);
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
-        assert!(cache.store(Stage::Frontend, id, payload(7)));
-        match cache.load_with(Stage::Frontend, id, decode_n) {
+        assert!(matches!(load_n(&cache, Stage::Frontend, 7), Lookup::Miss));
+        assert!(store_n(&cache, Stage::Frontend, 7, 7));
+        match load_n(&cache, Stage::Frontend, 7) {
             Lookup::Hit(n) => assert_eq!(n, 7),
             _ => panic!("expected hit"),
         }
         // Same id under a different stage is a different entry.
-        assert!(matches!(
-            cache.load_with(Stage::Execute, id, decode_n),
-            Lookup::Miss
-        ));
+        assert!(matches!(load_n(&cache, Stage::Execute, 7), Lookup::Miss));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.stores), (1, 2, 1));
-        let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn corrupt_entries_are_deleted_and_recomputable() {
-        // Truncated bytes, garbage bytes, wrong schema version, and a
-        // decodable header with an undecodable payload: all Corrupt, all
-        // deleted, none panic.
-        let cache = DiskCache::new(scratch("corrupt"));
-        let id = ArtifactId(9);
-        let key = cache.entry_key(Stage::Frontend, id);
-        let path = cache.entry_path(Stage::Frontend, key, "json");
-        let wrong_schema = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION + 1)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(Stage::Frontend.label())),
-            ("id", Json::from(id.0)),
-            ("payload", payload(9)),
-        ])
-        .pretty();
-        let bad_payload = Json::obj(vec![
-            ("schema", Json::from(SCHEMA_VERSION)),
-            ("tool", Json::from(tool_fingerprint())),
-            ("stage", Json::from(Stage::Frontend.label())),
-            ("id", Json::from(id.0)),
-            ("payload", Json::obj(vec![("wrong", Json::Null)])),
-        ])
-        .pretty();
-        for bytes in [
-            "{\"schema\": 1, \"tool\"",
-            "not json at all",
-            &wrong_schema,
-            &bad_payload,
-        ] {
-            assert!(cache.store(Stage::Frontend, id, payload(9)));
-            fs::write(&path, bytes).unwrap();
-            assert!(matches!(
-                cache.load_with(Stage::Frontend, id, decode_n),
-                Lookup::Corrupt
-            ));
-            assert!(!path.exists(), "corrupt entry must be deleted");
-            // The stage recomputes and re-stores cleanly.
-            assert!(cache.store(Stage::Frontend, id, payload(9)));
-            assert!(matches!(
-                cache.load_with(Stage::Frontend, id, decode_n),
-                Lookup::Hit(9)
-            ));
-        }
-        assert_eq!(cache.stats().corrupt, 4);
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -842,20 +561,16 @@ mod tests {
     fn gc_evicts_least_recently_used_first() {
         let cache = DiskCache::new(scratch("gc"));
         for n in 0..4u64 {
-            assert!(cache.store(Stage::Frontend, ArtifactId(n), payload(n)));
+            assert!(store_n(&cache, Stage::Frontend, n, n));
         }
         // Backdate entries 0..3 in order; then touch entry 0 via a hit so
         // it becomes the newest and survives eviction.
         let now = SystemTime::now();
         for n in 0..4u64 {
-            let key = cache.entry_key(Stage::Frontend, ArtifactId(n));
-            let f = fs::File::open(cache.entry_path(Stage::Frontend, key, "json")).unwrap();
+            let f = fs::File::open(entry_path(&cache, Stage::Frontend, n)).unwrap();
             f.set_modified(now - Duration::from_secs(100 - n)).unwrap();
         }
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, ArtifactId(0), decode_n),
-            Lookup::Hit(0)
-        ));
+        assert!(matches!(load_n(&cache, Stage::Frontend, 0), Lookup::Hit(0)));
         let one_entry = cache.usage().iter().map(|r| r.bytes).sum::<u64>() / 4;
         let gc = cache.gc(2 * one_entry);
         assert_eq!(gc.examined, 4);
@@ -863,7 +578,7 @@ mod tests {
         assert!(gc.bytes_after <= 2 * one_entry && gc.bytes_before > gc.bytes_after);
         // Oldest-touched (1, 2) went; recently-hit 0 and newest 3 remain.
         for (n, hit) in [(0u64, true), (1, false), (2, false), (3, true)] {
-            let got = cache.load_with(Stage::Frontend, ArtifactId(n), decode_n);
+            let got = load_n(&cache, Stage::Frontend, n);
             assert_eq!(matches!(got, Lookup::Hit(_)), hit, "entry {n}");
         }
         assert_eq!(cache.stats().evictions, 2);
@@ -879,34 +594,27 @@ mod tests {
         // artifact first; the cost-aware order must keep it and evict the
         // Frontend parse instead.
         let cache = DiskCache::new(scratch("gc-cost"));
-        assert!(cache.store(Stage::Frontend, ArtifactId(1), payload(1)));
-        assert!(cache.store(Stage::Execute, ArtifactId(2), payload(2)));
+        assert!(store_n(&cache, Stage::Frontend, 1, 1));
+        assert!(store_n(&cache, Stage::Execute, 2, 2));
         // Pin both mtimes inside one second, Execute older than Frontend.
         let secs = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .unwrap()
             .as_secs();
         let bucket = SystemTime::UNIX_EPOCH + Duration::from_secs(secs);
-        let touch = |stage: Stage, id: ArtifactId, offset_ms: u64| {
-            let key = cache.entry_key(stage, id);
-            let f = fs::File::open(cache.entry_path(stage, key, "json")).unwrap();
+        let touch = |stage: Stage, id: u64, offset_ms: u64| {
+            let f = fs::File::open(entry_path(&cache, stage, id)).unwrap();
             f.set_modified(bucket + Duration::from_millis(offset_ms))
                 .unwrap();
         };
-        touch(Stage::Execute, ArtifactId(2), 100);
-        touch(Stage::Frontend, ArtifactId(1), 800);
+        touch(Stage::Execute, 2, 100);
+        touch(Stage::Frontend, 1, 800);
         let total = cache.usage().iter().map(|r| r.bytes).sum::<u64>();
         let gc = cache.gc(total - 1);
         assert_eq!(gc.examined, 2);
         assert_eq!(gc.evicted, 1);
-        assert!(matches!(
-            cache.load_with(Stage::Frontend, ArtifactId(1), decode_n),
-            Lookup::Miss
-        ));
-        assert!(matches!(
-            cache.load_with(Stage::Execute, ArtifactId(2), decode_n),
-            Lookup::Hit(2)
-        ));
+        assert!(matches!(load_n(&cache, Stage::Frontend, 1), Lookup::Miss));
+        assert!(matches!(load_n(&cache, Stage::Execute, 2), Lookup::Hit(2)));
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -914,14 +622,11 @@ mod tests {
     fn clear_empties_the_store() {
         let cache = DiskCache::new(scratch("clear"));
         for n in 0..3u64 {
-            assert!(cache.store(Stage::Analysis, ArtifactId(n), payload(n)));
+            assert!(store_n(&cache, Stage::Analysis, n, n));
         }
         assert_eq!(cache.clear(), 3);
         assert!(cache.usage().iter().all(|r| r.entries == 0));
-        assert!(matches!(
-            cache.load_with(Stage::Analysis, ArtifactId(0), decode_n),
-            Lookup::Miss
-        ));
+        assert!(matches!(load_n(&cache, Stage::Analysis, 0), Lookup::Miss));
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -934,19 +639,16 @@ mod tests {
         for _ in 0..2 {
             let cache = cache.clone();
             handles.push(std::thread::spawn(move || {
-                cache.store(Stage::Execute, ArtifactId(1), payload(1))
+                store_n(&cache, Stage::Execute, 1, 1)
             }));
         }
         let wins: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(wins.iter().any(|w| *w), "at least one writer publishes");
-        assert!(matches!(
-            cache.load_with(Stage::Execute, ArtifactId(1), decode_n),
-            Lookup::Hit(1)
-        ));
+        assert!(matches!(load_n(&cache, Stage::Execute, 1), Lookup::Hit(1)));
         let _ = fs::remove_dir_all(cache.root());
     }
 
-    /// A small but real frontend artifact for format-negotiation tests.
+    /// A small but real frontend artifact for typed-codec tests.
     fn frontend_artifact(id: u64) -> FrontendArtifact {
         let (program, sema) = openarc_minic::frontend("int x;\nvoid main() { x = 1; }").unwrap();
         FrontendArtifact {
@@ -962,9 +664,7 @@ mod tests {
         let art = frontend_artifact(3);
         assert!(matches!(cache.load_frontend(art.id), Lookup::Miss));
         assert!(cache.store_frontend(&art));
-        let key = cache.entry_key(Stage::Frontend, art.id);
-        assert!(cache.entry_path(Stage::Frontend, key, "bin").exists());
-        assert!(!cache.entry_path(Stage::Frontend, key, "json").exists());
+        assert!(entry_path(&cache, Stage::Frontend, 3).exists());
         match cache.load_frontend(art.id) {
             Lookup::Hit(back) => assert_eq!(back.program, art.program),
             _ => panic!("expected binary hit"),
@@ -975,35 +675,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_entries_upgrade_to_binary_on_hit() {
-        let cache = DiskCache::new(scratch("upgrade"));
+    fn legacy_json_files_are_misses_and_swept_by_gc() {
+        // A `<key>.json` entry written by an older build: no lookup reads
+        // it, it is not corruption, and the next gc pass reclaims it.
+        let cache = DiskCache::new(scratch("legacy"));
         let art = frontend_artifact(11);
-        // A store written by an older build: JSON interchange only.
-        assert!(cache.store(
-            Stage::Frontend,
-            art.id,
-            codec::frontend_payload(&art.program, &art.sema),
-        ));
-        let key = cache.entry_key(Stage::Frontend, art.id);
-        assert!(cache.entry_path(Stage::Frontend, key, "json").exists());
-        assert!(!cache.entry_path(Stage::Frontend, key, "bin").exists());
-        // The hit decodes the JSON entry and migrates it in place.
-        match cache.load_frontend(art.id) {
-            Lookup::Hit(back) => assert_eq!(back.program, art.program),
-            _ => panic!("expected legacy hit"),
-        }
-        assert!(cache.entry_path(Stage::Frontend, key, "bin").exists());
-        assert!(
-            !cache.entry_path(Stage::Frontend, key, "json").exists(),
-            "legacy entry is retired after the upgrade"
-        );
-        // The next load is a pure binary hit; migration was not a store.
-        assert!(matches!(cache.load_frontend(art.id), Lookup::Hit(_)));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.stores), (2, 1));
-        let usage = cache.usage();
-        let row = usage.iter().find(|r| r.stage == "frontend").unwrap();
-        assert_eq!((row.entries, row.bin_entries, row.json_entries), (1, 1, 0));
+        let legacy = entry_path(&cache, Stage::Frontend, 11).with_extension("json");
+        fs::create_dir_all(legacy.parent().unwrap()).unwrap();
+        fs::write(&legacy, "{\"schema\": 1, \"payload\": {}}").unwrap();
+        assert!(matches!(cache.load_frontend(art.id), Lookup::Miss));
+        assert_eq!(cache.stats().corrupt, 0);
+        assert!(cache.usage().iter().all(|r| r.entries == 0));
+        let gc = cache.gc(u64::MAX);
+        assert_eq!((gc.examined, gc.evicted), (0, 0));
+        assert!(!legacy.exists(), "gc sweeps the legacy entry");
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -1011,8 +696,7 @@ mod tests {
     fn corrupt_binary_entries_are_deleted_and_recomputable() {
         let cache = DiskCache::new(scratch("bin-corrupt"));
         let art = frontend_artifact(5);
-        let key = cache.entry_key(Stage::Frontend, art.id);
-        let path = cache.entry_path(Stage::Frontend, key, "bin");
+        let path = entry_path(&cache, Stage::Frontend, 5);
         let good = cache.store_frontend(&art);
         assert!(good);
         let original = fs::read(&path).unwrap();
@@ -1028,41 +712,6 @@ mod tests {
         }
         assert_eq!(cache.stats().corrupt, 4);
         let _ = fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn export_rebuilds_a_loadable_json_store() {
-        let cache = DiskCache::new(scratch("export-src"));
-        let dest = DiskCache::new(scratch("export-dst"));
-        let art = frontend_artifact(21);
-        assert!(cache.store_frontend(&art));
-        // A legacy JSON straggler rides along verbatim.
-        let json_art = frontend_artifact(22);
-        assert!(cache.store(
-            Stage::Frontend,
-            json_art.id,
-            codec::frontend_payload(&json_art.program, &json_art.sema),
-        ));
-
-        let report = cache.export_json(&dest);
-        assert_eq!((report.exported, report.skipped), (2, 0));
-
-        // The target holds JSON only, and both entries load from it.
-        let row = dest.usage().into_iter().find(|r| r.stage == "frontend");
-        let row = row.unwrap();
-        assert_eq!((row.entries, row.bin_entries, row.json_entries), (2, 0, 2));
-        for wanted in [&art, &json_art] {
-            match dest.load_frontend(wanted.id) {
-                Lookup::Hit(back) => assert_eq!(back.program, wanted.program),
-                _ => panic!("exported entry did not load"),
-            }
-        }
-        // The source store is untouched by the export.
-        let src_row = cache.usage().into_iter().find(|r| r.stage == "frontend");
-        let src_row = src_row.unwrap();
-        assert_eq!((src_row.bin_entries, src_row.json_entries), (1, 1));
-        let _ = fs::remove_dir_all(cache.root());
-        let _ = fs::remove_dir_all(dest.root());
     }
 
     #[test]
@@ -1083,35 +732,23 @@ mod tests {
             a.entry_key(Stage::Frontend, id),
             default.entry_key(Stage::Frontend, id)
         );
-        assert!(a.store(Stage::Frontend, id, payload(1)));
-        assert!(matches!(
-            a.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Hit(1)
-        ));
-        assert!(matches!(
-            b.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
-        assert!(matches!(
-            default.load_with(Stage::Frontend, id, decode_n),
-            Lookup::Miss
-        ));
+        assert!(store_n(&a, Stage::Frontend, 7, 1));
+        assert!(matches!(load_n(&a, Stage::Frontend, 7), Lookup::Hit(1)));
+        assert!(matches!(load_n(&b, Stage::Frontend, 7), Lookup::Miss));
+        assert!(matches!(load_n(&default, Stage::Frontend, 7), Lookup::Miss));
         // The default namespace is the identity: a second handle made via
         // `new` reads what the first wrote.
-        assert!(default.store(Stage::Execute, id, payload(2)));
+        assert!(store_n(&default, Stage::Execute, 7, 2));
         let again = DiskCache::new(&root);
-        assert!(matches!(
-            again.load_with(Stage::Execute, id, decode_n),
-            Lookup::Hit(2)
-        ));
+        assert!(matches!(load_n(&again, Stage::Execute, 7), Lookup::Hit(2)));
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn usage_reports_per_stage_rows() {
         let cache = DiskCache::new(scratch("usage"));
-        assert!(cache.store(Stage::Frontend, ArtifactId(1), payload(1)));
-        assert!(cache.store(Stage::Execute, ArtifactId(2), payload(2)));
+        assert!(store_n(&cache, Stage::Frontend, 1, 1));
+        assert!(store_n(&cache, Stage::Execute, 2, 2));
         let usage = cache.usage();
         assert_eq!(usage.len(), DISK_STAGES.len());
         for row in &usage {

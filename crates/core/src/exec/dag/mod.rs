@@ -87,11 +87,6 @@ impl Footprint {
             || !self.reads.is_disjoint(&other.writes) // WAR
             || !self.writes.is_disjoint(&other.writes) // WAW
     }
-
-    /// Does this footprint touch `var` at all?
-    pub fn touches(&self, var: VarId) -> bool {
-        self.reads.contains(&var) || self.writes.contains(&var)
-    }
 }
 
 /// Shared variable-name intern table: one id per distinct name, in
@@ -289,7 +284,6 @@ mod tests {
         assert!(d.footprints[0].writes.contains(&y));
         assert!(d.footprints[1].reads.contains(&y));
         assert!(d.footprints[1].writes.contains(&x));
-        assert!(d.footprints[0].touches(x) && d.footprints[0].touches(y));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    marshalling for the host reference); the copies' *accounting* —
 //!    clock charges on the verification async queue, transfer stats,
 //!    journal events, coherence transitions — replays after the join in a
-//!    fixed per-variable order via [`Machine::account_to_device`].
+//!    fixed per-variable order via [`Machine::account_to_device_on`].
 //! 2. **Overlap** — the simulated device launch runs on a
 //!    `std::thread::scope` worker while the CPU reference interpreter runs
 //!    on the calling thread, exactly the paper's async overlap. The two
@@ -30,7 +30,7 @@
 //! enabled — a separate stream that never enters the deterministic run
 //! journal.
 //!
-//! [`Machine::account_to_device`]: openarc_runtime::Machine::account_to_device
+//! [`Machine::account_to_device_on`]: openarc_runtime::Machine::account_to_device_on
 //! [`run_tasks`]: crate::sched::run_tasks
 //! [`EventKind::Stage`]: openarc_trace::EventKind::Stage
 
@@ -93,7 +93,7 @@ fn run_reference(
 /// Raw demotion byte copies, host buffer → device mirror. Pure data
 /// movement between arenas the caller holds exclusively; every observable
 /// effect (clock, stats, journal, coherence) is replayed afterwards on the
-/// calling thread through `Machine::account_to_device`.
+/// calling thread through `Machine::account_to_device_on`.
 fn stage_copies(
     dev_mem: &mut MemSpace,
     host_mem: &MemSpace,

@@ -51,12 +51,6 @@ impl FuzzRng {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len())]
     }
-
-    /// Derive an independent stream for a sub-task (e.g. one generated
-    /// input), so parallel consumers never contend on the parent stream.
-    pub fn fork(&mut self) -> FuzzRng {
-        FuzzRng::new(self.next() | 1)
-    }
 }
 
 #[cfg(test)]
@@ -84,13 +78,5 @@ mod tests {
     fn zero_seed_ok() {
         let mut r = FuzzRng::new(0);
         assert_ne!(r.next(), 0);
-    }
-
-    #[test]
-    fn forks_diverge() {
-        let mut r = FuzzRng::new(3);
-        let mut f1 = r.fork();
-        let mut f2 = r.fork();
-        assert_ne!(f1.next(), f2.next());
     }
 }

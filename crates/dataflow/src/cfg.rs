@@ -515,13 +515,6 @@ impl Builder<'_> {
     }
 }
 
-/// Collect variables read by an expression (array bases included).
-pub fn expr_reads(e: &Expr, out: &mut BTreeSet<String>) {
-    for r in e.reads() {
-        out.insert(r);
-    }
-}
-
 /// Typed variant: reading a pointer's *value* (`q` in `p = q`) is not a
 /// data read; element reads through it (`q[i]`) are.
 fn expr_reads_typed(e: &Expr, out: &mut BTreeSet<String>, is_ptr: &dyn Fn(&str) -> bool) {

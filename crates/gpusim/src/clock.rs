@@ -220,21 +220,6 @@ impl SimClock {
         }
     }
 
-    /// Block the host until every queue on device `dev` drains, in
-    /// sorted-id order.
-    pub fn wait_all_on(&mut self, dev: DeviceId) {
-        let mut queues: Vec<i64> = self
-            .queues
-            .keys()
-            .filter(|(d, _)| *d == dev)
-            .map(|(_, q)| *q)
-            .collect();
-        queues.sort_unstable();
-        for q in queues {
-            self.wait_on(dev, q);
-        }
-    }
-
     /// Block the host until every queue on every device drains. Queues
     /// drain in sorted `(device, id)` order so journaled stall slices are
     /// deterministic — identical to sorted-id order when only the primary
@@ -376,17 +361,6 @@ mod tests {
         c.enqueue_async_on(DeviceId(1), 1, 10.0);
         c.wait_all();
         assert_eq!(c.now(), 20.0);
-    }
-
-    #[test]
-    fn wait_all_on_drains_only_that_device() {
-        let mut c = SimClock::new();
-        c.enqueue_async_on(DeviceId(0), 1, 10.0);
-        c.enqueue_async_on(DeviceId(1), 1, 30.0);
-        c.wait_all_on(DeviceId(0));
-        assert_eq!(c.now(), 10.0);
-        c.wait_all_on(DeviceId(1));
-        assert_eq!(c.now(), 30.0);
     }
 
     #[test]

@@ -385,13 +385,6 @@ impl LValue {
             LValue::Index { base, .. } => base,
         }
     }
-
-    /// True if the write covers the whole variable (a scalar/pointer
-    /// assignment), false for element writes (partial writes — the paper's
-    /// CG `q` example).
-    pub fn is_total(&self) -> bool {
-        matches!(self, LValue::Var(_))
-    }
 }
 
 /// A variable declaration (global, local, or parameter-like).
@@ -523,29 +516,14 @@ pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
     /// Next unused [`NodeId`]; passes that synthesize nodes allocate from
-    /// here via [`Program::fresh_id`].
+    /// here.
     pub next_id: NodeId,
 }
 
 impl Program {
-    /// Allocate a fresh node id.
-    pub fn fresh_id(&mut self) -> NodeId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Find a function by name.
     pub fn func(&self, name: &str) -> Option<&Func> {
         self.items.iter().find_map(|it| match it {
-            Item::Func(f) if f.name == name => Some(f),
-            _ => None,
-        })
-    }
-
-    /// Mutable lookup of a function by name.
-    pub fn func_mut(&mut self, name: &str) -> Option<&mut Func> {
-        self.items.iter_mut().find_map(|it| match it {
             Item::Func(f) if f.name == name => Some(f),
             _ => None,
         })
@@ -652,26 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn lvalue_totality() {
-        assert!(LValue::Var("p".into()).is_total());
-        assert!(!LValue::Index {
-            base: "a".into(),
-            indices: vec![]
-        }
-        .is_total());
-    }
-
-    #[test]
     fn assign_op_expansion() {
         assert_eq!(AssignOp::Add.binop(), Some(BinOp::Add));
         assert_eq!(AssignOp::Set.binop(), None);
-    }
-
-    #[test]
-    fn fresh_ids_monotonic() {
-        let mut p = Program::default();
-        let a = p.fresh_id();
-        let b = p.fresh_id();
-        assert!(b > a);
     }
 }

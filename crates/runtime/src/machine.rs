@@ -372,17 +372,7 @@ impl Machine {
     }
 
     /// Copy host → primary device. `site` names the transfer for reports;
-    /// `queue` makes it asynchronous.
-    pub fn copy_to_device(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.copy_to_device_named(host_h, site, queue, None)
-    }
-
-    /// [`Machine::copy_to_device`] with an explicit variable name for
+    /// `queue` makes it asynchronous; `name` is the variable name for
     /// reports (aliased pointers share one buffer label; suggestions must
     /// name the variable the directive used).
     pub fn copy_to_device_named(
@@ -418,18 +408,7 @@ impl Machine {
     /// worker thread (they have no observable effect on the simulated
     /// machine) and then replays the accounting here on the main thread in
     /// a fixed order, so the pair is indistinguishable from a plain
-    /// [`Machine::copy_to_device`] call.
-    pub fn account_to_device(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.account_to_device_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::account_to_device`] targeting device `dev`.
+    /// [`Machine::copy_to_device_named_on`] call on device `dev`.
     pub fn account_to_device_on(
         &mut self,
         dev: DeviceId,
@@ -456,17 +435,7 @@ impl Machine {
         Ok(())
     }
 
-    /// Copy primary device → host.
-    pub fn copy_to_host(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.copy_to_host_named(host_h, site, queue, None)
-    }
-
-    /// [`Machine::copy_to_host`] with an explicit report variable name.
+    /// Copy primary device → host, `name` being the report variable name.
     pub fn copy_to_host_named(
         &mut self,
         host_h: Handle,
@@ -677,13 +646,8 @@ impl Machine {
         }
     }
 
-    /// Charge a kernel execution to the clock (primary device).
-    pub fn charge_kernel(&mut self, outcome: &KernelOutcome, queue: Option<i64>) {
-        self.charge_kernel_named("kernel", outcome, queue);
-    }
-
-    /// [`Machine::charge_kernel`] journaling the launch and execution span
-    /// under the kernel's name.
+    /// Charge a kernel execution to the primary device's clock, journaling
+    /// the launch and execution span under the kernel's name.
     pub fn charge_kernel_named(&mut self, name: &str, outcome: &KernelOutcome, queue: Option<i64>) {
         self.charge_kernel_named_on(name, outcome, DeviceId::PRIMARY, queue);
     }
@@ -781,7 +745,7 @@ mod tests {
         }
         let (dev, new) = m.map_to_device(h).unwrap();
         assert!(new);
-        m.copy_to_device(h, "enter", None).unwrap();
+        m.copy_to_device_named(h, "enter", None, None).unwrap();
         assert_eq!(
             m.devices.primary().mem.load(dev, 3).unwrap(),
             Value::F64(3.0)
@@ -793,7 +757,7 @@ mod tests {
             .store(dev, 3, Value::F64(99.0))
             .unwrap();
         m.coherence.on_write(h, DevSide::Gpu, false);
-        m.copy_to_host(h, "exit", None).unwrap();
+        m.copy_to_host_named(h, "exit", None, None).unwrap();
         assert_eq!(m.host.mem.load(h, 3).unwrap(), Value::F64(99.0));
         assert_eq!(m.stats.h2d_count, 1);
         assert_eq!(m.stats.d2h_count, 1);
@@ -804,7 +768,7 @@ mod tests {
     fn clock_charged_for_alloc_and_transfer() {
         let (mut m, h) = machine_with_buffer(1024);
         m.map_to_device(h).unwrap();
-        m.copy_to_device(h, "enter", None).unwrap();
+        m.copy_to_device_named(h, "enter", None, None).unwrap();
         assert!(m.clock.breakdown.get(TimeCategory::GpuMemAlloc) > 0.0);
         assert!(m.clock.breakdown.get(TimeCategory::MemTransfer) > 0.0);
     }
@@ -830,8 +794,8 @@ mod tests {
         m.map_to_device(h).unwrap();
         m.loop_context.push(("k-loop".into(), 2));
         // Fresh on both sides → the second copyin is redundant.
-        m.copy_to_device(h, "enter0", None).unwrap();
-        m.copy_to_device(h, "enter0", None).unwrap();
+        m.copy_to_device_named(h, "enter0", None, None).unwrap();
+        m.copy_to_device_named(h, "enter0", None, None).unwrap();
         let msgs: Vec<String> = m.report.issues.iter().map(|i| i.to_string()).collect();
         assert!(
             msgs.iter()
@@ -854,7 +818,7 @@ mod tests {
         let (mut m, h) = machine_with_buffer(1 << 20);
         m.map_to_device(h).unwrap();
         let before = m.clock.breakdown.get(TimeCategory::MemTransfer);
-        m.copy_to_device(h, "enter", Some(1)).unwrap();
+        m.copy_to_device_named(h, "enter", Some(1), None).unwrap();
         assert_eq!(m.clock.breakdown.get(TimeCategory::MemTransfer), before);
         m.clock.wait(1);
         assert!(m.clock.breakdown.get(TimeCategory::AsyncWait) > 0.0);
@@ -937,9 +901,9 @@ mod tests {
         m.set_journal(Journal::enabled());
         m.map_to_device(h).unwrap(); // miss + alloc
         m.map_to_device(h).unwrap(); // hit
-        m.copy_to_device(h, "enter0", None).unwrap(); // redundant → finding
+        m.copy_to_device_named(h, "enter0", None, None).unwrap(); // redundant → finding
         m.check_write(h, DevSide::Gpu, false, "k0"); // cpu → stale
-        m.copy_to_host(h, "exit0", None).unwrap();
+        m.copy_to_host_named(h, "exit0", None, None).unwrap();
         m.unmap_from_device(h).unwrap();
         m.unmap_from_device(h).unwrap(); // refcount 0 → free
         m.flush_journal();
@@ -1015,7 +979,7 @@ mod tests {
     fn disabled_journal_changes_nothing() {
         let (mut m, h) = machine_with_buffer(8);
         m.map_to_device(h).unwrap();
-        m.copy_to_device(h, "enter0", None).unwrap();
+        m.copy_to_device_named(h, "enter0", None, None).unwrap();
         assert!(!m.journal().is_enabled());
         assert!(m.journal().snapshot().is_empty());
         assert_eq!(m.report.issues.len(), 1, "report still works untraced");
@@ -1030,10 +994,10 @@ mod tests {
             races: vec![],
             n_threads: 1000,
         };
-        m.charge_kernel(&out, None);
+        m.charge_kernel_named("kernel", &out, None);
         assert!(m.clock.breakdown.get(TimeCategory::KernelExec) > 0.0);
         let before = m.clock.now();
-        m.charge_kernel(&out, Some(2));
+        m.charge_kernel_named("kernel", &out, Some(2));
         assert_eq!(m.clock.now(), before, "async kernel does not advance host");
     }
 

@@ -50,14 +50,6 @@ impl IssueKind {
             IssueKind::Incorrect | IssueKind::Missing => "error",
         }
     }
-
-    /// True for the `may-*` kinds that require user verification.
-    pub fn needs_user(self) -> bool {
-        matches!(
-            self,
-            IssueKind::MayRedundant | IssueKind::MayMissing | IssueKind::MayIncorrect
-        )
-    }
 }
 
 /// One finding.
@@ -211,8 +203,6 @@ mod tests {
         assert_eq!(IssueKind::Redundant.severity(), "info");
         assert_eq!(IssueKind::Missing.severity(), "error");
         assert_eq!(IssueKind::MayRedundant.severity(), "warning");
-        assert!(IssueKind::MayMissing.needs_user());
-        assert!(!IssueKind::Incorrect.needs_user());
     }
 
     #[test]

@@ -95,8 +95,7 @@ impl Journal {
 
     /// Copy of every retained event, in emission order. Clones the whole
     /// buffer — when the caller owns the journal and is done with it,
-    /// prefer [`Journal::drain`]; for displays that only need the end of
-    /// the stream, prefer [`Journal::tail`].
+    /// prefer [`Journal::drain`].
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         match &self.inner {
             Some(inner) => inner.events.lock().expect("journal poisoned").clone(),
@@ -111,18 +110,6 @@ impl Journal {
     pub fn drain(&self) -> Vec<TraceEvent> {
         match &self.inner {
             Some(inner) => std::mem::take(&mut *inner.events.lock().expect("journal poisoned")),
-            None => Vec::new(),
-        }
-    }
-
-    /// Clone of only the last `n` events, in emission order — for tail
-    /// displays that should not pay for a full-stream copy.
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => {
-                let events = inner.events.lock().expect("journal poisoned");
-                events[events.len().saturating_sub(n)..].to_vec()
-            }
             None => Vec::new(),
         }
     }
@@ -332,19 +319,6 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert!(j.is_empty(), "drain leaves the journal empty");
         assert_eq!(Journal::disabled().drain(), vec![]);
-    }
-
-    #[test]
-    fn tail_returns_only_the_end() {
-        let j = Journal::enabled();
-        for i in 0..5 {
-            j.emit(slice(i as f64, 1.0, Category::CpuTime));
-        }
-        let t = j.tail(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].ts_us, 3.0);
-        assert_eq!(j.tail(100).len(), 5, "oversized tail clamps");
-        assert_eq!(j.len(), 5, "tail does not consume");
     }
 
     #[test]

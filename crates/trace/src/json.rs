@@ -117,14 +117,6 @@ impl Json {
         }
     }
 
-    /// The `(key, value)` pairs, if this is an `Obj`.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Render with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -622,7 +614,6 @@ mod tests {
         assert_eq!(v.get("y").unwrap().as_i64(), Some(-2));
         assert_eq!(v.get("z").unwrap().as_f64(), Some(2.5));
         assert_eq!(v.get("missing"), None);
-        assert!(v.as_obj().is_some());
         assert!(v.as_arr().is_none());
     }
 }
