@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt lint test doc build bench paper
+.PHONY: check fmt lint test doc build bench perfbench paper
 
-check: fmt lint test doc
+check: fmt lint test doc perfbench
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -23,6 +23,11 @@ build:
 
 bench:
 	$(CARGO) bench
+
+# The benchmark package links the library crates by path; building it
+# catches API changes that would break the benchmark.
+perfbench:
+	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml
 
 # Regenerate every table and figure of the paper's evaluation.
 paper:

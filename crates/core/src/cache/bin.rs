@@ -27,13 +27,13 @@ use crate::ir::{DataAction, DataRegionInfo, KernelInfo, KernelParam, RtOp};
 use crate::knowledge::{KernelAssert, KernelBound, KernelKnowledge};
 use crate::pipeline::{ArtifactId, Fnv, FrontendArtifact, Stage, TranslatedArtifact};
 use crate::translate::Translated;
-use openarc_gpusim::{RaceReport, SimClock, TimeBreakdown, TimeCategory};
+use openarc_gpusim::{DeviceId, RaceReport, SimClock, TimeBreakdown, TimeCategory};
 use openarc_minic::binio as mb;
 use openarc_minic::NodeId;
 use openarc_openacc::{DataClauseKind, ReductionOp};
-use openarc_runtime::coherence::DevSide;
-use openarc_runtime::{Direction, Issue, IssueKind, Machine, Report, St, TransferStats};
+use openarc_runtime::{Direction, Issue, IssueKind, Loc, Machine, Report, St, TransferStats};
 use openarc_trace::bin::{read_events, write_events, Reader, Writer};
+use openarc_trace::codec::SIDES;
 use openarc_trace::TraceEvent;
 use openarc_vm::binio as vb;
 use openarc_vm::{BasicEnv, Handle};
@@ -50,7 +50,7 @@ pub const MAGIC: [u8; 8] = *b"OARCBIN\0";
 /// Version of the container layout and every section schema. Bumped on any
 /// incompatible change; a reader rejects other versions and the disk layer
 /// recomputes the artifact.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Total size of the fixed entry header in bytes.
 pub const HEADER_LEN: usize = 40;
@@ -231,6 +231,26 @@ fn get_code<T: Copy>(r: &mut Reader<'_>, table: &[T], what: &str) -> R<T> {
         .ok_or_else(|| r.err(&format!("unknown {what} code {c}")))
 }
 
+/// Write a runtime-op location as its one-byte code in the trace codec's
+/// closed [`SIDES`] table: `cpu` = 0, device `d` = `d + 1`.
+fn put_side(w: &mut Writer, loc: Loc) {
+    let code = match loc {
+        Loc::Cpu => 0,
+        Loc::Dev(d) => d.0 as usize + 1,
+    };
+    assert!(code < SIDES.len(), "side: location not in closed table");
+    w.put_u8(code as u8);
+}
+
+/// Read a location written by [`put_side`].
+fn get_side(r: &mut Reader<'_>) -> R<Loc> {
+    match r.u8()? {
+        0 => Ok(Loc::Cpu),
+        c if (c as usize) < SIDES.len() => Ok(Loc::Dev(DeviceId(c as u32 - 1))),
+        c => Err(r.err(&format!("unknown side code {c}"))),
+    }
+}
+
 fn put_opt_str(w: &mut Writer, v: &Option<String>) {
     match v {
         Some(s) => {
@@ -315,8 +335,6 @@ const REDUCTIONS: [ReductionOp; 9] = [
     ReductionOp::LogAnd,
     ReductionOp::LogOr,
 ];
-
-const SIDES: [DevSide; 2] = [DevSide::Cpu, DevSide::Gpu];
 
 const STATES: [St; 3] = [St::NotStale, St::MayStale, St::Stale];
 
@@ -591,7 +609,7 @@ fn put_op(w: &mut Writer, op: &RtOp) {
         RtOp::CheckRead { var, side, site } => {
             w.put_u8(op_tag::CHECK_READ);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
+            put_side(w, *side);
             w.put_str(site);
         }
         RtOp::CheckWrite {
@@ -602,14 +620,14 @@ fn put_op(w: &mut Writer, op: &RtOp) {
         } => {
             w.put_u8(op_tag::CHECK_WRITE);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
+            put_side(w, *side);
             w.put_bool(*total);
             w.put_str(site);
         }
         RtOp::ResetStatus { var, side, st } => {
             w.put_u8(op_tag::RESET);
             w.put_str(var);
-            put_code(w, &SIDES, *side, "side");
+            put_side(w, *side);
             put_code(w, &STATES, *st, "coherence state");
         }
         RtOp::LoopEnter { label } => {
@@ -637,18 +655,18 @@ fn get_op(r: &mut Reader<'_>) -> R<RtOp> {
         op_tag::WAIT => RtOp::Wait(r.opt_i64()?),
         op_tag::CHECK_READ => RtOp::CheckRead {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
+            side: get_side(r)?,
             site: r.string()?,
         },
         op_tag::CHECK_WRITE => RtOp::CheckWrite {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
+            side: get_side(r)?,
             total: r.bool()?,
             site: r.string()?,
         },
         op_tag::RESET => RtOp::ResetStatus {
             var: r.string()?,
-            side: get_code(r, &SIDES, "side")?,
+            side: get_side(r)?,
             st: get_code(r, &STATES, "coherence state")?,
         },
         op_tag::LOOP_ENTER => RtOp::LoopEnter { label: r.string()? },
@@ -858,10 +876,8 @@ pub fn encode_run(id: ArtifactId, r: &RunResult, events: &[TraceEvent]) -> Vec<u
     put_section(&mut w, section::STATS, |w| {
         w.put_u64(m.stats.h2d_bytes);
         w.put_u64(m.stats.d2h_bytes);
-        w.put_u64(m.stats.d2d_bytes);
         w.put_u64(m.stats.h2d_count);
         w.put_u64(m.stats.d2h_count);
-        w.put_u64(m.stats.d2d_count);
         w.put_u64(m.stats.dev_allocs);
         w.put_u64(m.stats.dev_frees);
     });
@@ -976,23 +992,21 @@ pub fn decode_run(id: ArtifactId, bytes: &[u8]) -> R<(RunResult, Vec<TraceEvent>
         let nq = b.seq_len()?;
         let mut queues = Vec::with_capacity(nq);
         for _ in 0..nq {
-            queues.push((openarc_gpusim::DeviceId(b.u32()?), b.i64()?, b.f64()?));
+            queues.push((DeviceId(b.u32()?), b.i64()?, b.f64()?));
         }
         Ok((now, breakdown, queues))
     })?;
     let globals = get_section(&mut r, section::GLOBALS, |b| read_vec(b, vb::read_value))?;
     let mem = get_section(&mut r, section::MEM, vb::read_memspace)?;
 
-    let mut machine = Machine::new(BasicEnv { globals, mem }, false);
+    let mut machine = Machine::with_devices(BasicEnv { globals, mem }, false, 1);
     machine.clock = SimClock::restore(now, breakdown, queues);
     machine.stats = get_section(&mut r, section::STATS, |b| {
         Ok(TransferStats {
             h2d_bytes: b.u64()?,
             d2h_bytes: b.u64()?,
-            d2d_bytes: b.u64()?,
             h2d_count: b.u64()?,
             d2h_count: b.u64()?,
-            d2d_count: b.u64()?,
             dev_allocs: b.u64()?,
             dev_frees: b.u64()?,
         })
@@ -1114,6 +1128,32 @@ mod tests {
                 bytes,
                 "re-encode is byte-identical"
             );
+        }
+    }
+
+    #[test]
+    fn op_sides_are_codes_in_the_sides_table() {
+        for (loc, code) in [
+            (Loc::Cpu, 0u8),
+            (Loc::Dev(DeviceId::PRIMARY), 1),
+            (Loc::Dev(DeviceId(7)), 8),
+        ] {
+            let op = RtOp::CheckRead {
+                var: "a".into(),
+                side: loc,
+                site: "s".into(),
+            };
+            let mut w = Writer::new();
+            put_op(&mut w, &op);
+            let bytes = w.into_bytes();
+            // Tag, then the `str` var ("a": u32 length + 1 byte), then the side.
+            assert_eq!(bytes[6], code);
+            assert_eq!(get_op(&mut Reader::new(&bytes)).unwrap(), op);
+            let mut bad = bytes.clone();
+            bad[6] = SIDES.len() as u8;
+            assert!(get_op(&mut Reader::new(&bad))
+                .unwrap_err()
+                .contains("side code"));
         }
     }
 

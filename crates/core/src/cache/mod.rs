@@ -703,14 +703,24 @@ mod tests {
         let truncated = original[..original.len() / 2].to_vec();
         let mut flipped = original.clone();
         flipped[0] ^= 0xff;
-        for bytes in [b"junk".to_vec(), truncated, flipped, Vec::new()] {
+        // An entry written by the previous format version keeps its key,
+        // so it is found, rejected and recomputed.
+        let mut old_version = original.clone();
+        old_version[8..12].copy_from_slice(&(bin::FORMAT_VERSION - 1).to_le_bytes());
+        for bytes in [
+            b"junk".to_vec(),
+            truncated,
+            flipped,
+            old_version,
+            Vec::new(),
+        ] {
             fs::write(&path, &bytes).unwrap();
             assert!(matches!(cache.load_frontend(art.id), Lookup::Corrupt));
             assert!(!path.exists(), "corrupt binary entry must be deleted");
             assert!(cache.store_frontend(&art));
             assert!(matches!(cache.load_frontend(art.id), Lookup::Hit(_)));
         }
-        assert_eq!(cache.stats().corrupt, 4);
+        assert_eq!(cache.stats().corrupt, 5);
         let _ = fs::remove_dir_all(cache.root());
     }
 

@@ -4,7 +4,7 @@
 use super::{ExecMode, ExecOptions, KernelVerification, TransferKey};
 use crate::ir::RtOp;
 use crate::translate::Translated;
-use openarc_gpusim::{RaceReport, TimeCategory};
+use openarc_gpusim::{DeviceId, RaceReport, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_runtime::Machine;
 use openarc_vm::{Env, Handle, Value, VmError};
@@ -35,7 +35,7 @@ pub(super) struct ExecEnv<'a> {
     pub(super) pending: std::collections::VecDeque<super::verified::PendingVerify>,
     /// Static device assignment per launch site (verify mode; from
     /// [`super::dag::DepDag::device_plan`]).
-    pub(super) device_plan: Vec<openarc_gpusim::DeviceId>,
+    pub(super) device_plan: Vec<DeviceId>,
     /// Per-site memory footprints (verify mode; empty otherwise).
     pub(super) footprints: Vec<super::dag::Footprint>,
     /// Wall-clock origin of the run; verified-launch stage spans are
@@ -135,16 +135,18 @@ impl ExecEnv<'_> {
         // OpenACC, not a runtime invariant break — the region paths
         // (`data_enter`/`data_exit` sites) keep the internal-error
         // classification because their entry action always maps first.
-        if site.starts_with("update") && !self.machine.is_present(h) {
+        if site.starts_with("update") && self.machine.device_of(DeviceId::PRIMARY, h).is_err() {
             return Err(VmError::NotPresent {
                 var: var.to_string(),
                 to_device,
             });
         }
         if to_device {
-            self.machine.copy_to_device_named(h, site, queue, Some(var))
+            self.machine
+                .copy_to_device(DeviceId::PRIMARY, h, site, queue, Some(var))
         } else {
-            self.machine.copy_to_host_named(h, site, queue, Some(var))
+            self.machine
+                .copy_to_host(DeviceId::PRIMARY, h, site, queue, Some(var))
         }
     }
 
@@ -154,10 +156,10 @@ impl ExecEnv<'_> {
                 let h = self.resolve(&var)?;
                 if to_device {
                     self.machine
-                        .copy_to_device_named(h, &site, queue, Some(&var))?;
+                        .copy_to_device(DeviceId::PRIMARY, h, &site, queue, Some(&var))?;
                 } else {
                     self.machine
-                        .copy_to_host_named(h, &site, queue, Some(&var))?;
+                        .copy_to_host(DeviceId::PRIMARY, h, &site, queue, Some(&var))?;
                 }
             }
         }
@@ -199,7 +201,7 @@ impl ExecEnv<'_> {
             RtOp::Wait(q) => {
                 if !verify_mode && !cpu_only {
                     match q {
-                        Some(q) => self.machine.clock.wait(*q),
+                        Some(q) => self.machine.clock.wait(DeviceId::PRIMARY, *q),
                         None => self.machine.clock.wait_all(),
                     }
                 }
@@ -219,7 +221,7 @@ impl ExecEnv<'_> {
                 for a in &tr.data_regions[r].actions {
                     if a.map {
                         let h = self.resolve(&a.var)?;
-                        self.machine.map_to_device(h)?;
+                        self.machine.map_to_device(DeviceId::PRIMARY, h, None)?;
                         if a.copyin {
                             self.do_copy(&a.var, &site, true, None)?;
                         }
@@ -243,7 +245,7 @@ impl ExecEnv<'_> {
                             self.do_copy(&a.var, &site, false, None)?;
                         }
                         let h = self.resolve(&a.var)?;
-                        self.machine.unmap_from_device(h)?;
+                        self.machine.unmap_from_device(DeviceId::PRIMARY, h)?;
                     }
                 }
             }
@@ -397,7 +399,7 @@ impl Env for ExecEnv<'_> {
         // Freeing a host allocation invalidates any device mapping and its
         // coherence record.
         while let Some(d) = self.machine.present_anywhere(h) {
-            self.machine.unmap_from_device_on(d, h)?;
+            self.machine.unmap_from_device(d, h)?;
         }
         self.machine.coherence.untrack(h);
         self.machine.host.free(h)

@@ -7,40 +7,23 @@ use crate::ir::KernelParam;
 use openarc_gpusim::{launch, DeviceId, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_openacc::ReductionOp;
-use openarc_runtime::DevSide;
+use openarc_runtime::Loc;
 use openarc_vm::{Buffer, Handle, Value, VmError};
 use std::collections::{HashMap, VecDeque};
 
 impl ExecEnv<'_> {
-    /// Build kernel args. `on_device` selects device or host buffers; the
-    /// returned vec lists `(reduction var, op, partial buffer)` to finalize
-    /// and the set of handles to free afterwards (reduction buffers).
+    /// Build kernel args. `on_device` selects device `dev`'s or the host's
+    /// buffers; the returned vecs list `(reduction var, op, partial
+    /// buffer)` to finalize, the handles to free afterwards (reduction
+    /// buffers) and the shared-cell write-backs. `prepared` holds
+    /// pre-built reduction partial buffers: the verified-launch pipeline
+    /// constructs them (zero-fill is O(n)) off the arena while staging
+    /// copies run, then publishes each here with a pointer move. It is
+    /// consumed front-to-back in kernel parameter order; when it runs dry
+    /// the slot allocates as usual, so handle assignment and accounting
+    /// are identical either way.
     #[allow(clippy::type_complexity)]
     pub(super) fn build_args(
-        &mut self,
-        k: usize,
-        n: u64,
-        on_device: bool,
-    ) -> Result<
-        (
-            Vec<Value>,
-            Vec<(String, ReductionOp, Handle)>,
-            Vec<Handle>,
-            Vec<(String, Handle)>,
-        ),
-        VmError,
-    > {
-        self.build_args_prepared(k, n, on_device, DeviceId::PRIMARY, &mut VecDeque::new())
-    }
-
-    /// [`ExecEnv::build_args`] with pre-built reduction partial buffers:
-    /// the verified-launch pipeline constructs them (zero-fill is O(n))
-    /// off the arena while staging copies run, then publishes each here
-    /// with a pointer move. `prepared` is consumed front-to-back in kernel
-    /// parameter order; when it runs dry the slot allocates as usual, so
-    /// handle assignment and accounting are identical either way.
-    #[allow(clippy::type_complexity)]
-    pub(super) fn build_args_prepared(
         &mut self,
         k: usize,
         n: u64,
@@ -67,7 +50,7 @@ impl ExecEnv<'_> {
                 KernelParam::Aggregate { var } => {
                     let host_h = self.resolve(var)?;
                     let h = if on_device {
-                        self.machine.device_of_on(dev, host_h)?
+                        self.machine.device_of(dev, host_h)?
                     } else {
                         host_h
                     };
@@ -175,6 +158,8 @@ impl ExecEnv<'_> {
         let info = &tr.kernels[k];
         let n = self.n_threads(k)?;
         let queue = info.queue;
+        // Normal mode runs every kernel on the primary device.
+        let dev = DeviceId::PRIMARY;
         // Data-region-at-kernel semantics: map + copyin. OpenACC `copy`
         // semantics are present_or_copy: data already mapped by an
         // enclosing region (possibly under an aliasing name) moves nothing.
@@ -198,7 +183,7 @@ impl ExecEnv<'_> {
         for (a, copyin, _) in &plans {
             if a.map {
                 let h = self.resolve(&a.var)?;
-                let (_, newly) = self.machine.map_to_device(h)?;
+                let (_, newly) = self.machine.map_to_device(dev, h, None)?;
                 if newly {
                     fresh.insert(a.var.clone());
                 }
@@ -210,7 +195,7 @@ impl ExecEnv<'_> {
         // GPU-side coherence checks at the kernel boundary.
         for v in &info.gpu_reads {
             if let Ok(h) = self.resolve(v) {
-                self.machine.check_read(h, DevSide::Gpu, &info.name);
+                self.machine.check_read(h, Loc::Dev(dev), &info.name);
             }
         }
         for v in &info.gpu_writes {
@@ -218,13 +203,14 @@ impl ExecEnv<'_> {
                 continue;
             }
             if let Ok(h) = self.resolve(v) {
-                self.machine.check_write(h, DevSide::Gpu, false, &info.name);
+                self.machine
+                    .check_write(h, Loc::Dev(dev), false, &info.name);
             }
         }
-        let (args, reds, temps, cells) = self.build_args(k, n, true)?;
+        let (args, reds, temps, cells) = self.build_args(k, n, true, dev, &mut VecDeque::new())?;
         let cfg = self.launch_cfg(k);
         let outcome = launch(
-            self.machine.devices.primary_mut(),
+            self.machine.devices.get_mut(dev),
             &tr.kernel_module,
             &info.name,
             &args,
@@ -234,15 +220,14 @@ impl ExecEnv<'_> {
         for r in &outcome.races {
             self.races.push((info.name.clone(), r.clone()));
         }
-        self.machine
-            .charge_kernel_named(&info.name, &outcome, queue);
-        self.writeback_cells(&cells, true, DeviceId::PRIMARY)?;
+        self.machine.charge_kernel(&info.name, &outcome, dev, queue);
+        self.writeback_cells(&cells, true, dev)?;
         // Reductions finalize on the CPU (device partials → host scalar).
         for (var, op, buf) in &reds {
             if let Some(q) = queue {
-                self.machine.clock.wait(q);
+                self.machine.clock.wait(dev, q);
             }
-            let gpu_val = self.fold_device(*buf, *op, n)?;
+            let gpu_val = self.fold_device(*buf, *op, n, dev)?;
             let init = self.scalar_value(var)?;
             let final_v = red_eval(*op, init, gpu_val)?;
             let elem = self.scalar_elem_of(var);
@@ -252,7 +237,7 @@ impl ExecEnv<'_> {
             self.machine.clock.advance(TimeCategory::MemTransfer, dt);
         }
         for t in temps {
-            self.machine.devices.primary_mut().mem.free(t)?;
+            self.machine.devices.get_mut(dev).mem.free(t)?;
         }
         // Copyout + unmap (copyout only for mappings this launch created —
         // region-managed data stays resident).
@@ -266,9 +251,9 @@ impl ExecEnv<'_> {
                 let h = self.resolve(&a.var)?;
                 if let Some(q) = queue {
                     // Don't free under in-flight async work.
-                    self.machine.clock.wait(q);
+                    self.machine.clock.wait(dev, q);
                 }
-                self.machine.unmap_from_device(h)?;
+                self.machine.unmap_from_device(dev, h)?;
             }
         }
         Ok(())
@@ -279,7 +264,8 @@ impl ExecEnv<'_> {
     pub(super) fn launch_seq(&mut self, k: usize) -> Result<(), VmError> {
         let info = &self.tr.kernels[k];
         let n = self.n_threads(k)?;
-        let (mut args, reds, temps, cells) = self.build_args(k, n, false)?;
+        let (mut args, reds, temps, cells) =
+            self.build_args(k, n, false, DeviceId::PRIMARY, &mut VecDeque::new())?;
         args.insert(0, Value::Int(n as i64));
         let steps = self.run_host_fn(&info.seq_name, &args)?;
         self.machine.charge_cpu(steps);

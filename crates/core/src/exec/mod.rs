@@ -385,7 +385,7 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
         for a in &tr.declares {
             if a.map {
                 let h = env.resolve(&a.var)?;
-                env.machine.map_to_device(h)?;
+                env.machine.map_to_device(DeviceId::PRIMARY, h, None)?;
                 if a.copyin {
                     env.do_copy(&a.var, "declare", true, None)?;
                 }
@@ -410,7 +410,7 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
                     env.do_copy(&a.var, "declare", false, None)?;
                 }
                 let h = env.resolve(&a.var)?;
-                env.machine.unmap_from_device(h)?;
+                env.machine.unmap_from_device(DeviceId::PRIMARY, h)?;
             }
         }
     }

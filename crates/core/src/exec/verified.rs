@@ -9,7 +9,7 @@
 //!    marshalling for the host reference); the copies' *accounting* —
 //!    clock charges on the verification async queue, transfer stats,
 //!    journal events, coherence transitions — replays after the join in a
-//!    fixed per-variable order via [`Machine::account_to_device_on`].
+//!    fixed per-variable order via [`Machine::account_to_device`].
 //! 2. **Overlap** — the simulated device launch runs on a
 //!    `std::thread::scope` worker while the CPU reference interpreter runs
 //!    on the calling thread, exactly the paper's async overlap. The two
@@ -30,7 +30,7 @@
 //! enabled — a separate stream that never enters the deterministic run
 //! journal.
 //!
-//! [`Machine::account_to_device_on`]: openarc_runtime::Machine::account_to_device_on
+//! [`Machine::account_to_device`]: openarc_runtime::Machine::account_to_device
 //! [`run_tasks`]: crate::sched::run_tasks
 //! [`EventKind::Stage`]: openarc_trace::EventKind::Stage
 
@@ -93,7 +93,7 @@ fn run_reference(
 /// Raw demotion byte copies, host buffer → device mirror. Pure data
 /// movement between arenas the caller holds exclusively; every observable
 /// effect (clock, stats, journal, coherence) is replayed afterwards on the
-/// calling thread through `Machine::account_to_device_on`.
+/// calling thread through `Machine::account_to_device`.
 fn stage_copies(
     dev_mem: &mut MemSpace,
     host_mem: &MemSpace,
@@ -214,7 +214,7 @@ impl ExecEnv<'_> {
         let mut staged: Vec<(Handle, Handle)> = Vec::with_capacity(touched.len());
         for var in &touched {
             let h = self.resolve(var)?;
-            let (dev_h, _) = self.machine.map_to_device_on_queue(dev, h, Some(q))?;
+            let (dev_h, _) = self.machine.map_to_device(dev, h, Some(q))?;
             staged.push((h, dev_h));
         }
         // Plan the reduction partial buffers of both sides so their O(n)
@@ -268,16 +268,14 @@ impl ExecEnv<'_> {
         // blocking host time as Mem Transfer.
         for (host_h, _) in &staged {
             self.machine
-                .account_to_device_on(dev, *host_h, &verify_site, Some(q), None)?;
+                .account_to_device(dev, *host_h, &verify_site, Some(q), None)?;
         }
         // Marshal both sides — argument building mutates host and device
         // memory, so it stays on this thread; pre-built partial buffers
         // publish with a pointer move.
-        let (args, dreds, dtemps, dcells) =
-            self.build_args_prepared(k, n, true, dev, &mut dprep)?;
+        let (args, dreds, dtemps, dcells) = self.build_args(k, n, true, dev, &mut dprep)?;
         let cfg = self.launch_cfg(k);
-        let (mut hargs, hreds, htemps, hcells) =
-            self.build_args_prepared(k, n, false, dev, &mut hprep)?;
+        let (mut hargs, hreds, htemps, hcells) = self.build_args(k, n, false, dev, &mut hprep)?;
         hargs.insert(0, Value::Int(n as i64));
         self.note_stage("verify:staging", t_staging);
 
@@ -314,7 +312,7 @@ impl ExecEnv<'_> {
             self.races.push((info.name.clone(), r.clone()));
         }
         self.machine
-            .charge_kernel_named_on(&info.name, &outcome, dev, Some(q));
+            .charge_kernel(&info.name, &outcome, dev, Some(q));
         // The reference CPU charge and the queue wait defer to this
         // launch's *retirement*, so independent launches issued while
         // this one is pending overlap it on the simulated timeline.
@@ -340,7 +338,7 @@ impl ExecEnv<'_> {
                 let host_h = self.machine.host.globals
                     [self.tr.host_module.global_slot(var).unwrap() as usize];
                 let Value::Ptr(host_h) = host_h else { continue };
-                let dev_h = self.machine.device_of_on(dev, host_h)?;
+                let dev_h = self.machine.device_of(dev, host_h)?;
                 let hbuf = self.machine.host.mem.get(host_h)?;
                 let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
                 let bound = v.bounds.get(var).copied().or_else(|| {
@@ -371,7 +369,7 @@ impl ExecEnv<'_> {
         }
         // Reductions: compare scalar results; CPU value stays canonical.
         for ((var, op, dbuf), (_, _, hbuf)) in dreds.iter().zip(&hreds) {
-            let gpu_val = self.fold_device_on(*dbuf, *op, n, dev)?;
+            let gpu_val = self.fold_device(*dbuf, *op, n, dev)?;
             let cpu_val = self.fold_host(*hbuf, *op, n)?;
             let init = self.scalar_value(var)?;
             let cpu_final = red_eval(*op, init, cpu_val)?;
@@ -432,7 +430,7 @@ impl ExecEnv<'_> {
         let mut assertion_failures = 0u64;
         for (var, kind) in &checks {
             if let Ok(host_h) = self.resolve(var) {
-                if let Ok(dev_h) = self.machine.device_of_on(dev, host_h) {
+                if let Ok(dev_h) = self.machine.device_of(dev, host_h) {
                     let dbuf = self.machine.devices.get(dev).mem.get(dev_h)?;
                     let ok = match kind {
                         AssertKind::ChecksumWithin { expected, tol } => {
@@ -499,7 +497,7 @@ impl ExecEnv<'_> {
         };
         let name = &self.tr.kernels[p.k].name;
         self.machine.charge_cpu(p.ref_steps);
-        self.machine.clock.wait_on(p.dev, p.queue);
+        self.machine.clock.wait(p.dev, p.queue);
         // Charge the result comparison (~2 interpreted instrs per element).
         let dt = self.machine.cost.cpu_time(p.compared * 2);
         self.machine.clock.advance(TimeCategory::ResultComp, dt);
@@ -528,7 +526,7 @@ impl ExecEnv<'_> {
             });
         }
         for h in &p.touched {
-            self.machine.unmap_from_device_on(p.dev, *h)?;
+            self.machine.unmap_from_device(p.dev, *h)?;
         }
         Ok(())
     }

@@ -19,10 +19,11 @@ use openarc_dataflow::{
     dead_live_compute, first_access, last_write, natural_loops, AccessSel, Cfg, Deadness, NodeKind,
     Side,
 };
+use openarc_gpusim::DeviceId;
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{Func, NodeId, Sema};
-use openarc_runtime::{DevSide, St};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use openarc_runtime::{Loc, St};
+use std::collections::{BTreeSet, HashMap};
 
 /// Planned instrumentation for one function.
 #[derive(Debug, Default)]
@@ -51,8 +52,9 @@ impl Instrumentation {
         }
     }
 
-    /// Total number of planned check/reset ops (used by overhead tests).
-    pub fn op_count(&self) -> usize {
+    /// Total number of planned check/reset ops.
+    #[cfg(test)]
+    fn op_count(&self) -> usize {
         self.before.values().map(Vec::len).sum::<usize>()
             + self.after.values().map(Vec::len).sum::<usize>()
     }
@@ -155,7 +157,7 @@ pub fn plan(
             let site = format!("cpu_read@{stmt}");
             let op = RtOp::CheckRead {
                 var: var.clone(),
-                side: DevSide::Cpu,
+                side: Loc::Cpu,
                 site,
             };
             let target = if optimize {
@@ -170,7 +172,7 @@ pub fn plan(
             let site = format!("cpu_write@{stmt}");
             let op = RtOp::CheckWrite {
                 var: var.clone(),
-                side: DevSide::Cpu,
+                side: Loc::Cpu,
                 total,
                 site,
             };
@@ -211,7 +213,7 @@ pub fn plan(
                     target,
                     RtOp::ResetStatus {
                         var: var.clone(),
-                        side: DevSide::Gpu,
+                        side: Loc::Dev(DeviceId::PRIMARY),
                         st: St::NotStale,
                     },
                 ),
@@ -219,7 +221,7 @@ pub fn plan(
                     target,
                     RtOp::ResetStatus {
                         var: var.clone(),
-                        side: DevSide::Gpu,
+                        side: Loc::Dev(DeviceId::PRIMARY),
                         st: St::MayStale,
                     },
                 ),
@@ -239,7 +241,7 @@ pub fn plan(
                     stmt,
                     RtOp::ResetStatus {
                         var: var.clone(),
-                        side: DevSide::Cpu,
+                        side: Loc::Cpu,
                         st: St::NotStale,
                     },
                 ),
@@ -247,7 +249,7 @@ pub fn plan(
                     stmt,
                     RtOp::ResetStatus {
                         var: var.clone(),
-                        side: DevSide::Cpu,
+                        side: Loc::Cpu,
                         st: St::MayStale,
                     },
                 ),
@@ -276,7 +278,7 @@ pub fn plan(
                         head_stmt,
                         RtOp::CheckWrite {
                             var: var.clone(),
-                            side: DevSide::Gpu,
+                            side: Loc::Dev(DeviceId::PRIMARY),
                             total: false,
                             site: format!("gpu_write_hoisted@{kstmt}"),
                         },
@@ -312,30 +314,31 @@ fn hoist_target(
     stmt
 }
 
-/// Count ops of each kind (diagnostics and tests).
-pub fn op_histogram(ins: &Instrumentation) -> BTreeMap<&'static str, usize> {
-    let mut h: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut bump = |op: &RtOp| {
-        let k = match op {
-            RtOp::CheckRead { .. } => "check_read",
-            RtOp::CheckWrite { .. } => "check_write",
-            RtOp::ResetStatus { .. } => "reset_status",
-            _ => "other",
-        };
-        *h.entry(k).or_insert(0) += 1;
-    };
-    for ops in ins.before.values().chain(ins.after.values()) {
-        for op in ops {
-            bump(op);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use openarc_minic::frontend;
+    use std::collections::BTreeMap;
+
+    /// Count ops of each kind.
+    fn op_histogram(ins: &Instrumentation) -> BTreeMap<&'static str, usize> {
+        let mut h: BTreeMap<&'static str, usize> = BTreeMap::new();
+        let mut bump = |op: &RtOp| {
+            let k = match op {
+                RtOp::CheckRead { .. } => "check_read",
+                RtOp::CheckWrite { .. } => "check_write",
+                RtOp::ResetStatus { .. } => "reset_status",
+                _ => "other",
+            };
+            *h.entry(k).or_insert(0) += 1;
+        };
+        for ops in ins.before.values().chain(ins.after.values()) {
+            for op in ops {
+                bump(op);
+            }
+        }
+        h
+    }
 
     fn planned(src: &str, optimize: bool) -> (openarc_minic::Program, Instrumentation) {
         let (p, s) = frontend(src).expect("frontend");
@@ -416,7 +419,7 @@ mod tests {
             .values()
             .flatten()
             .filter(
-                |op| matches!(op, RtOp::ResetStatus { var, side: DevSide::Gpu, .. } if var == "a"),
+                |op| matches!(op, RtOp::ResetStatus { var, side: Loc::Dev(DeviceId::PRIMARY), .. } if var == "a"),
             )
             .collect();
         assert!(!resets.is_empty(), "{ins:?}");

@@ -6,7 +6,7 @@
 
 use openarc_minic::NodeId;
 use openarc_openacc::{DataClauseKind, ReductionOp};
-use openarc_runtime::{DevSide, St};
+use openarc_runtime::{Loc, St};
 
 /// How one variable is handled around a kernel launch or data region
 /// boundary.
@@ -144,8 +144,8 @@ pub enum RtOp {
     CheckRead {
         /// Variable.
         var: String,
-        /// Side performing the read.
-        side: DevSide,
+        /// Location performing the read.
+        side: Loc,
         /// Report site label.
         site: String,
     },
@@ -153,8 +153,8 @@ pub enum RtOp {
     CheckWrite {
         /// Variable.
         var: String,
-        /// Side performing the write.
-        side: DevSide,
+        /// Location performing the write.
+        side: Loc,
         /// Whole-variable overwrite?
         total: bool,
         /// Report site label.
@@ -164,8 +164,8 @@ pub enum RtOp {
     ResetStatus {
         /// Variable.
         var: String,
-        /// Side whose state is overridden.
-        side: DevSide,
+        /// Location whose state is overridden.
+        side: Loc,
         /// New state.
         st: St,
     },

@@ -553,15 +553,19 @@ impl From<VerifyError> for PipelineError {
 /// use openarc_core::translate::TranslateOptions;
 /// let src = "double a[8];\nvoid main() {\n int j;\n #pragma acc kernels loop gang\n for (j = 0; j < 8; j++) { a[j] = 1.0; }\n}";
 /// let session = Session::builder().build();
-/// let run1 = session.run_source(src, &TranslateOptions::default(), &ExecOptions::default()).unwrap();
+/// let run = |eopts: &ExecOptions| {
+///     let fe = session.frontend(src).unwrap();
+///     let tr = session.translate(&fe, &TranslateOptions::default()).unwrap();
+///     session.execute(&tr, eopts).unwrap()
+/// };
+/// let run1 = run(&ExecOptions::default());
 /// // Same source, different options: frontend + translation are reused.
-/// let cpu = ExecOptions { mode: ExecMode::CpuOnly, ..Default::default() };
-/// let run2 = session.run_source(src, &TranslateOptions::default(), &cpu).unwrap();
+/// let run2 = run(&ExecOptions { mode: ExecMode::CpuOnly, ..Default::default() });
 /// let stats = session.stats();
 /// assert_eq!(stats.get(Stage::Frontend).hits, 1);
 /// assert_eq!(stats.get(Stage::Analysis).hits, 1);
 /// assert_eq!(stats.get(Stage::Execute).misses, 2);
-/// assert!(run1.result.sim_time_us() > run2.result.sim_time_us());
+/// assert!(run1.sim_time_us() > run2.sim_time_us());
 /// ```
 pub struct Session {
     meters: StageMeters,
@@ -674,6 +678,7 @@ struct CachedRun {
 }
 
 /// One end-to-end pipeline run: the translation used plus the run result.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// Frontend artifact (parse reused across runs).
@@ -1122,6 +1127,7 @@ impl Session {
     }
 
     /// End-to-end convenience: frontend → translate → execute.
+    #[cfg(test)]
     pub fn run_source(
         &self,
         src: &str,

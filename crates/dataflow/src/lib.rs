@@ -12,17 +12,17 @@
 //!   runtime coherence checks.
 //! * [`analyses::natural_loops`] — loop structure for the check-hoisting
 //!   optimization (Listing 3).
-//! * [`alias`] — conservative pointer analysis whose imprecision produces
-//!   the "incorrect iterations" of Table III.
+//!
+//! The analyses track variables by name and do no pointer analysis: a
+//! write through a pointer alias is invisible to them, which is what
+//! produces the "incorrect iterations" of Table III.
 
 #![warn(missing_docs)]
 
-pub mod alias;
 pub mod analyses;
 pub mod cfg;
 pub mod solver;
 
-pub use alias::{analyze as alias_analyze, AliasInfo, Loc};
 pub use analyses::{
     dead_live, dead_live_compute, first_access, last_write, liveness, natural_loops, AccessSel,
     DeadLiveResult, Deadness, LastWriteResult, NaturalLoop,

@@ -70,37 +70,38 @@ impl TimeCategory {
     }
 }
 
-/// Accumulated simulated time per category, µs.
+/// Accumulated simulated time per category, µs, indexed in
+/// [`TimeCategory::ALL`] order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeBreakdown {
-    per_cat: HashMap<u8, f64>,
+    per_cat: [f64; TimeCategory::ALL.len()],
 }
 
 impl TimeBreakdown {
-    fn key(cat: TimeCategory) -> u8 {
-        TimeCategory::ALL.iter().position(|c| *c == cat).unwrap() as u8
+    fn key(cat: TimeCategory) -> usize {
+        TimeCategory::ALL.iter().position(|c| *c == cat).unwrap()
     }
 
     /// Add `dt` µs to `cat`.
     pub fn add(&mut self, cat: TimeCategory, dt: f64) {
-        *self.per_cat.entry(Self::key(cat)).or_insert(0.0) += dt;
+        self.per_cat[Self::key(cat)] += dt;
     }
 
     /// Time spent in `cat`.
     pub fn get(&self, cat: TimeCategory) -> f64 {
-        self.per_cat.get(&Self::key(cat)).copied().unwrap_or(0.0)
+        self.per_cat[Self::key(cat)]
     }
 
-    /// Sum of all categories.
+    /// Sum of all categories, added in [`TimeCategory::ALL`] order so
+    /// identical breakdowns always give bit-identical totals.
     pub fn total(&self) -> f64 {
-        self.per_cat.values().sum()
+        self.per_cat.iter().sum()
     }
 }
 
 /// The machine clock: a host timeline plus one timeline per async queue,
 /// where queues are namespaced per simulated device (`(device, queue)`
-/// keys). Single-device callers use the [`SimClock::enqueue_async`] /
-/// [`SimClock::wait`] shorthands, which address [`DeviceId::PRIMARY`].
+/// keys).
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     host_now: f64,
@@ -175,34 +176,22 @@ impl SimClock {
         self.breakdown.add(cat, dt);
     }
 
-    /// Enqueue `dt` µs of asynchronous work on the primary device's
-    /// `queue`. See [`SimClock::enqueue_async_on`].
-    pub fn enqueue_async(&mut self, queue: i64, dt: f64) -> f64 {
-        self.enqueue_async_on(DeviceId::PRIMARY, queue, dt)
-    }
-
     /// Enqueue `dt` µs of asynchronous work on device `dev`'s `queue`.
     /// The work starts no earlier than the host's current time and the
     /// queue's previous end; the host does not block. Returns the
     /// simulated start time of the enqueued span, so callers can journal
     /// it with a true timestamp. Queues on distinct devices are fully
     /// independent timelines.
-    pub fn enqueue_async_on(&mut self, dev: DeviceId, queue: i64, dt: f64) -> f64 {
+    pub fn enqueue_async(&mut self, dev: DeviceId, queue: i64, dt: f64) -> f64 {
         let end = self.queues.entry((dev, queue)).or_insert(0.0);
         let start = end.max(self.host_now);
         *end = start + dt;
         start
     }
 
-    /// Block the host until the primary device's `queue` drains. See
-    /// [`SimClock::wait_on`].
-    pub fn wait(&mut self, queue: i64) {
-        self.wait_on(DeviceId::PRIMARY, queue);
-    }
-
     /// Block the host until device `dev`'s `queue` drains, charging the
     /// stall to [`TimeCategory::AsyncWait`].
-    pub fn wait_on(&mut self, dev: DeviceId, queue: i64) {
+    pub fn wait(&mut self, dev: DeviceId, queue: i64) {
         if let Some(end) = self.queues.get(&(dev, queue)).copied() {
             if end > self.host_now {
                 let stall = end - self.host_now;
@@ -228,7 +217,7 @@ impl SimClock {
         let mut keys: Vec<(DeviceId, i64)> = self.queues.keys().copied().collect();
         keys.sort_unstable();
         for (d, q) in keys {
-            self.wait_on(d, q);
+            self.wait(d, q);
         }
     }
 }
@@ -236,6 +225,8 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const P: DeviceId = DeviceId::PRIMARY;
 
     #[test]
     fn advance_accumulates_by_category() {
@@ -250,11 +241,34 @@ mod tests {
     }
 
     #[test]
+    fn total_sums_in_category_order() {
+        // Order-sensitive addends: (1e16 + 1.0) - 1e16 is 0.0 but
+        // (1e16 - 1e16) + 1.0 is 1.0, so a total that depends on iteration
+        // order differs between identically built breakdowns.
+        let parts = [
+            (TimeCategory::GpuMemFree, 1e16),
+            (TimeCategory::MemTransfer, 1.0),
+            (TimeCategory::CpuTime, -1e16),
+        ];
+        let want = TimeCategory::ALL
+            .iter()
+            .map(|c| parts.iter().find(|p| p.0 == *c).map_or(0.0, |p| p.1))
+            .fold(0.0, |acc: f64, x| acc + x);
+        for _ in 0..64 {
+            let mut b = TimeBreakdown::default();
+            for (cat, dt) in parts {
+                b.add(cat, dt);
+            }
+            assert_eq!(b.total().to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
     fn async_overlap_hides_gpu_time() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 100.0); // kernel on queue 1
+        c.enqueue_async(P, 1, 100.0); // kernel on queue 1
         c.advance(TimeCategory::CpuTime, 60.0); // CPU overlaps
-        c.wait(1);
+        c.wait(P, 1);
         // Only the remaining 40 µs stall the host.
         assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 40.0);
         assert_eq!(c.now(), 100.0);
@@ -263,9 +277,9 @@ mod tests {
     #[test]
     fn async_fully_hidden_when_cpu_longer() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 30.0);
+        c.enqueue_async(P, 1, 30.0);
         c.advance(TimeCategory::CpuTime, 50.0);
-        c.wait(1);
+        c.wait(P, 1);
         assert_eq!(c.breakdown.get(TimeCategory::AsyncWait), 0.0);
         assert_eq!(c.now(), 50.0);
     }
@@ -273,17 +287,17 @@ mod tests {
     #[test]
     fn queue_serializes_its_own_work() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 10.0);
-        c.enqueue_async(1, 10.0); // starts after the first
-        c.wait(1);
+        c.enqueue_async(P, 1, 10.0);
+        c.enqueue_async(P, 1, 10.0); // starts after the first
+        c.wait(P, 1);
         assert_eq!(c.now(), 20.0);
     }
 
     #[test]
     fn separate_queues_overlap() {
         let mut c = SimClock::new();
-        c.enqueue_async(1, 10.0);
-        c.enqueue_async(2, 10.0);
+        c.enqueue_async(P, 1, 10.0);
+        c.enqueue_async(P, 2, 10.0);
         c.wait_all();
         assert_eq!(c.now(), 10.0);
     }
@@ -291,7 +305,7 @@ mod tests {
     #[test]
     fn wait_on_idle_queue_is_free() {
         let mut c = SimClock::new();
-        c.wait(7);
+        c.wait(P, 7);
         assert_eq!(c.now(), 0.0);
     }
 
@@ -299,9 +313,9 @@ mod tests {
     fn async_after_host_progress_starts_at_host_now() {
         let mut c = SimClock::new();
         c.advance(TimeCategory::CpuTime, 100.0);
-        let start = c.enqueue_async(1, 5.0);
+        let start = c.enqueue_async(P, 1, 5.0);
         assert_eq!(start, 100.0);
-        c.wait(1);
+        c.wait(P, 1);
         assert_eq!(c.now(), 105.0);
     }
 
@@ -315,12 +329,12 @@ mod tests {
         let shared = openarc_trace::Journal::enabled();
         let mut c = SimClock::new();
         c.journal = JournalPart::new(shared.clone());
-        let t0 = c.enqueue_async(3, 4.0); // staged copy 1
-        let t1 = c.enqueue_async(3, 4.0); // staged copy 2, queued behind it
-        let t2 = c.enqueue_async(3, 20.0); // async kernel behind the copies
+        let t0 = c.enqueue_async(P, 3, 4.0); // staged copy 1
+        let t1 = c.enqueue_async(P, 3, 4.0); // staged copy 2, queued behind it
+        let t2 = c.enqueue_async(P, 3, 20.0); // async kernel behind the copies
         assert_eq!((t0, t1, t2), (0.0, 4.0, 8.0), "queue serializes the chain");
         c.advance(TimeCategory::CpuTime, 10.0); // CPU reference overlaps
-        c.wait(3);
+        c.wait(P, 3);
         c.journal.flush();
         // The transfers and kernel never touch their synchronous
         // categories — everything async folds into the wait's stall.
@@ -350,15 +364,15 @@ mod tests {
     #[test]
     fn same_queue_id_on_distinct_devices_is_independent() {
         let mut c = SimClock::new();
-        c.enqueue_async_on(DeviceId(0), 1, 10.0);
-        c.enqueue_async_on(DeviceId(1), 1, 10.0); // same id, other device
+        c.enqueue_async(DeviceId(0), 1, 10.0);
+        c.enqueue_async(DeviceId(1), 1, 10.0); // same id, other device
         c.wait_all();
         // Independent timelines: both spans ran concurrently.
         assert_eq!(c.now(), 10.0);
         // Whereas chaining on one device's queue serializes:
         let mut c = SimClock::new();
-        c.enqueue_async_on(DeviceId(1), 1, 10.0);
-        c.enqueue_async_on(DeviceId(1), 1, 10.0);
+        c.enqueue_async(DeviceId(1), 1, 10.0);
+        c.enqueue_async(DeviceId(1), 1, 10.0);
         c.wait_all();
         assert_eq!(c.now(), 20.0);
     }
@@ -369,8 +383,8 @@ mod tests {
         // zeroing in-flight async state for any replay across a restore
         // point. A wait after restore must still see the queued work.
         let mut c = SimClock::new();
-        c.enqueue_async_on(DeviceId(0), 1, 40.0);
-        c.enqueue_async_on(DeviceId(1), 2, 70.0);
+        c.enqueue_async(DeviceId(0), 1, 40.0);
+        c.enqueue_async(DeviceId(1), 2, 70.0);
         c.advance(TimeCategory::CpuTime, 10.0);
 
         let snap = c.queue_snapshot();
@@ -402,7 +416,7 @@ mod tests {
         c.journal = JournalPart::new(shared.clone());
         c.advance(TimeCategory::CpuTime, 1.25);
         c.advance(TimeCategory::MemTransfer, 0.5);
-        c.enqueue_async(1, 10.0);
+        c.enqueue_async(P, 1, 10.0);
         c.advance(TimeCategory::CpuTime, 3.0);
         c.wait_all();
         c.journal.flush();

@@ -143,6 +143,7 @@ impl Directive {
     }
 
     /// The data spec, if this is a data construct.
+    #[cfg(test)]
     pub fn as_data(&self) -> Option<&DataSpec> {
         match self {
             Directive::Data(d) => Some(d),

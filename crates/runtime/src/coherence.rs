@@ -34,39 +34,10 @@ pub enum St {
     Stale,
 }
 
-/// Which copy of the data, in the paper's two-sided vocabulary (the form
-/// the instrumented `check_read`/`check_write` calls are lowered with).
-/// `Gpu` always means the primary device; multi-device code paths use
-/// [`Loc`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DevSide {
-    /// Host CPU copy.
-    Cpu,
-    /// Device (GPU) copy.
-    Gpu,
-}
-
-impl DevSide {
-    /// The opposite side.
-    pub fn other(self) -> DevSide {
-        match self {
-            DevSide::Cpu => DevSide::Gpu,
-            DevSide::Gpu => DevSide::Cpu,
-        }
-    }
-
-    /// The location this side names: `Gpu` is the primary device.
-    pub fn loc(self) -> Loc {
-        match self {
-            DevSide::Cpu => Loc::Cpu,
-            DevSide::Gpu => Loc::Dev(DeviceId::PRIMARY),
-        }
-    }
-}
-
 /// One location a copy of the data can live at: the host, or one of N
-/// simulated devices. The §III-B state machine "already keys per device
-/// conceptually" — this makes the device dimension real.
+/// simulated devices — the §III-B state machine's "per variable per
+/// device" axis. The paper's two-sided `cpu`/`gpu` vocabulary is
+/// `Cpu`/`Dev(DeviceId::PRIMARY)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loc {
     /// Host CPU copy.
@@ -120,24 +91,9 @@ impl Default for VarState {
 }
 
 impl VarState {
-    /// The primary device's state.
-    pub fn gpu(&self) -> St {
-        self.gpus[0]
-    }
-
-    /// Device `d`'s state.
-    pub fn gpu_on(&self, d: DeviceId) -> St {
-        self.gpus[d.0 as usize]
-    }
-
     /// All device states, indexed by [`DeviceId`].
     pub fn gpus(&self) -> &[St] {
         &self.gpus
-    }
-
-    /// State of `side` (two-sided view: `Gpu` is the primary device).
-    pub fn get(&self, side: DevSide) -> St {
-        self.at(side.loc())
     }
 
     /// State at `loc`.
@@ -164,17 +120,19 @@ impl VarState {
 /// The coherence tracker, keyed by host allocation handle.
 ///
 /// ```
-/// use openarc_runtime::{Coherence, DevSide, ReadDiag};
+/// use openarc_gpusim::DeviceId;
+/// use openarc_runtime::{Coherence, Loc, ReadDiag};
 /// use openarc_vm::Handle;
-/// let mut c = Coherence::new(true);
+/// let gpu = Loc::Dev(DeviceId::PRIMARY);
+/// let mut c = Coherence::with_devices(true, 1);
 /// let h = Handle(1);
 /// c.track(h, "a");
-/// c.on_write(h, DevSide::Gpu, false);           // kernel writes a
-/// assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Missing);
-/// let diag = c.on_transfer(h, DevSide::Cpu);    // copy it back
+/// c.on_write(h, gpu, false);                    // kernel writes a
+/// assert_eq!(c.check_read(h, Loc::Cpu), ReadDiag::Missing);
+/// let diag = c.on_transfer(h, gpu, Loc::Cpu);   // copy it back
 /// assert_eq!(diag.redundant, None);             // the copy was needed
-/// assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Ok);
-/// let diag = c.on_transfer(h, DevSide::Cpu);    // copy it again
+/// assert_eq!(c.check_read(h, Loc::Cpu), ReadDiag::Ok);
+/// let diag = c.on_transfer(h, gpu, Loc::Cpu);   // copy it again
 /// assert_eq!(diag.redundant, Some(true));       // now it's redundant
 /// ```
 #[derive(Debug, Clone)]
@@ -188,16 +146,11 @@ pub struct Coherence {
 
 impl Default for Coherence {
     fn default() -> Coherence {
-        Coherence::new(false)
+        Coherence::with_devices(false, 1)
     }
 }
 
 impl Coherence {
-    /// A single-device tracker.
-    pub fn new(enabled: bool) -> Coherence {
-        Coherence::with_devices(enabled, 1)
-    }
-
     /// A tracker over `n_devices` simulated devices (clamped to ≥ 1).
     pub fn with_devices(enabled: bool, n_devices: usize) -> Coherence {
         Coherence {
@@ -236,14 +189,8 @@ impl Coherence {
         self.vars.get(&h)
     }
 
-    /// `check_read(h, side)`: diagnose a read on `side` (two-sided view;
-    /// `Gpu` is the primary device).
-    pub fn check_read(&self, h: Handle, side: DevSide) -> ReadDiag {
-        self.check_read_at(h, side.loc())
-    }
-
-    /// Diagnose a read of the copy at `loc`.
-    pub fn check_read_at(&self, h: Handle, loc: Loc) -> ReadDiag {
+    /// `check_read(h, loc)`: diagnose a read of the copy at `loc`.
+    pub fn check_read(&self, h: Handle, loc: Loc) -> ReadDiag {
         if !self.enabled {
             return ReadDiag::Ok;
         }
@@ -254,19 +201,14 @@ impl Coherence {
         }
     }
 
-    /// `check_write(h, side, total)`: diagnose and apply a write on `side`
-    /// (two-sided view; `Gpu` is the primary device).
-    pub fn on_write(&mut self, h: Handle, side: DevSide, total: bool) -> ReadDiag {
-        self.on_write_at(h, side.loc(), total)
-    }
-
-    /// Diagnose and apply a write at `loc`. Returns the diagnosis of the
+    /// `check_write(h, loc, total)`: diagnose and apply a write at `loc`.
+    /// Returns the diagnosis of the
     /// *local* copy before the write (a stale copy being partially
     /// overwritten is the paper's may-missing case). Every *other*
     /// location's copy goes stale — with one device this is exactly the
     /// paper's two-sided rule; with N devices a write anywhere stales the
     /// N remaining copies.
-    pub fn on_write_at(&mut self, h: Handle, loc: Loc, total: bool) -> ReadDiag {
+    pub fn on_write(&mut self, h: Handle, loc: Loc, total: bool) -> ReadDiag {
         if !self.enabled {
             return ReadDiag::Ok;
         }
@@ -299,17 +241,11 @@ impl Coherence {
         diag
     }
 
-    /// Diagnose and apply a transfer into `dst` side (two-sided view: the
-    /// source is the opposite side, with `Gpu` the primary device).
-    pub fn on_transfer(&mut self, h: Handle, dst: DevSide) -> XferDiag {
-        self.on_transfer_between(h, dst.other().loc(), dst.loc())
-    }
-
     /// Diagnose and apply a transfer from the copy at `src` into the copy
-    /// at `dst` — host↔device in either direction, or device↔device.
+    /// at `dst`.
     /// The incorrect verdict reads the source state, the redundant verdict
     /// the destination state, and the destination becomes not-stale.
-    pub fn on_transfer_between(&mut self, h: Handle, src: Loc, dst: Loc) -> XferDiag {
+    pub fn on_transfer(&mut self, h: Handle, src: Loc, dst: Loc) -> XferDiag {
         if !self.enabled {
             return XferDiag {
                 incorrect: None,
@@ -341,14 +277,9 @@ impl Coherence {
         }
     }
 
-    /// `reset_status(h, side, st)`: compiler-directed state override (dead
-    /// variables, deallocation, CPU-final reductions). Two-sided view.
-    pub fn reset_status(&mut self, h: Handle, side: DevSide, st: St) {
-        self.reset_status_at(h, side.loc(), st);
-    }
-
-    /// State override for the copy at `loc`.
-    pub fn reset_status_at(&mut self, h: Handle, loc: Loc, st: St) {
+    /// `reset_status(h, loc, st)`: compiler-directed override of the copy
+    /// at `loc` (dead variables, deallocation, CPU-final reductions).
+    pub fn reset_status(&mut self, h: Handle, loc: Loc, st: St) {
         if !self.enabled {
             return;
         }
@@ -363,9 +294,11 @@ mod tests {
     use super::*;
 
     const H: Handle = Handle(5);
+    const CPU: Loc = Loc::Cpu;
+    const GPU: Loc = Loc::Dev(DeviceId::PRIMARY);
 
     fn tracked() -> Coherence {
-        let mut c = Coherence::new(true);
+        let mut c = Coherence::with_devices(true, 1);
         c.track(H, "a");
         c
     }
@@ -375,91 +308,91 @@ mod tests {
         let c = tracked();
         let v = c.state(H).unwrap();
         assert_eq!(v.cpu, St::NotStale);
-        assert_eq!(v.gpu(), St::NotStale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        assert_eq!(v.at(GPU), St::NotStale);
+        assert_eq!(c.check_read(H, CPU), ReadDiag::Ok);
     }
 
     #[test]
     fn write_stales_remote() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false);
+        c.on_write(H, GPU, false);
         assert_eq!(c.state(H).unwrap().cpu, St::Stale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Missing);
-        assert_eq!(c.check_read(H, DevSide::Gpu), ReadDiag::Ok);
+        assert_eq!(c.check_read(H, CPU), ReadDiag::Missing);
+        assert_eq!(c.check_read(H, GPU), ReadDiag::Ok);
     }
 
     #[test]
     fn transfer_clears_staleness() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false);
-        let d = c.on_transfer(H, DevSide::Cpu);
+        c.on_write(H, GPU, false);
+        let d = c.on_transfer(H, GPU, CPU);
         assert_eq!(d.redundant, None, "transfer was needed");
         assert_eq!(d.incorrect, None, "source was fresh");
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        assert_eq!(c.check_read(H, CPU), ReadDiag::Ok);
     }
 
     #[test]
     fn transfer_to_fresh_copy_is_redundant() {
         let mut c = tracked();
-        let d = c.on_transfer(H, DevSide::Gpu);
+        let d = c.on_transfer(H, CPU, GPU);
         assert_eq!(d.redundant, Some(true));
     }
 
     #[test]
     fn transfer_from_stale_source_is_incorrect() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU copy stale now
-        let d = c.on_transfer(H, DevSide::Gpu); // CPU → GPU copies stale data
+        c.on_write(H, GPU, false); // CPU copy stale now
+        let d = c.on_transfer(H, CPU, GPU); // CPU → GPU copies stale data
         assert_eq!(d.incorrect, Some(true));
     }
 
     #[test]
     fn partial_overwrite_of_stale_copy_is_may_missing() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU stale
-        let diag = c.on_write(H, DevSide::Cpu, false); // partial CPU write
+        c.on_write(H, GPU, false); // CPU stale
+        let diag = c.on_write(H, CPU, false); // partial CPU write
         assert_eq!(diag, ReadDiag::MayMissing);
         assert_eq!(c.state(H).unwrap().cpu, St::MayStale);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::MayMissing);
+        assert_eq!(c.check_read(H, CPU), ReadDiag::MayMissing);
     }
 
     #[test]
     fn total_overwrite_refreshes_local() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Gpu, false); // CPU stale
-        let diag = c.on_write(H, DevSide::Cpu, true);
+        c.on_write(H, GPU, false); // CPU stale
+        let diag = c.on_write(H, CPU, true);
         assert_eq!(diag, ReadDiag::Ok);
         assert_eq!(c.state(H).unwrap().cpu, St::NotStale);
         // And the GPU copy went stale in turn.
-        assert_eq!(c.state(H).unwrap().gpu(), St::Stale);
+        assert_eq!(c.state(H).unwrap().at(GPU), St::Stale);
     }
 
     #[test]
     fn reset_status_overrides() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Cpu, true); // GPU stale
-                                           // Compiler proved GPU copy must-dead → mark not-stale so the next
-                                           // transfer to it is flagged redundant.
-        c.reset_status(H, DevSide::Gpu, St::NotStale);
-        let d = c.on_transfer(H, DevSide::Gpu);
+        c.on_write(H, CPU, true); // GPU stale
+                                  // Compiler proved GPU copy must-dead → mark not-stale so the next
+                                  // transfer to it is flagged redundant.
+        c.reset_status(H, GPU, St::NotStale);
+        let d = c.on_transfer(H, CPU, GPU);
         assert_eq!(d.redundant, Some(true));
     }
 
     #[test]
     fn may_dead_gives_may_redundant() {
         let mut c = tracked();
-        c.on_write(H, DevSide::Cpu, true); // GPU stale
-        c.reset_status(H, DevSide::Gpu, St::MayStale);
-        let d = c.on_transfer(H, DevSide::Gpu);
+        c.on_write(H, CPU, true); // GPU stale
+        c.reset_status(H, GPU, St::MayStale);
+        let d = c.on_transfer(H, CPU, GPU);
         assert_eq!(d.redundant, Some(false), "may-redundant");
     }
 
     #[test]
     fn disabled_tracker_is_silent() {
-        let mut c = Coherence::new(false);
+        let mut c = Coherence::with_devices(false, 1);
         c.track(H, "a");
-        c.on_write(H, DevSide::Gpu, false);
-        assert_eq!(c.check_read(H, DevSide::Cpu), ReadDiag::Ok);
+        c.on_write(H, GPU, false);
+        assert_eq!(c.check_read(H, CPU), ReadDiag::Ok);
         assert!(c.state(H).is_none());
     }
 

@@ -9,18 +9,19 @@
 //!
 //! ## The coherence state machine
 //!
-//! Each tracked variable carries one state per side (`cpu`, `gpu`):
+//! Each tracked variable carries one state per [`Loc`] — the host copy
+//! (`Loc::Cpu`) and one copy per device (`Loc::Dev`):
 //!
 //! * `notstale` — this copy holds the latest data;
 //! * `maystale` — a *conditional* remote write may have outdated it
 //!   (the §III-B "may" findings);
 //! * `stale` — a remote write definitely outdated it.
 //!
-//! Writes demote the *other* side (`stale`, or `maystale` when the write
-//! is conditional); a transfer promotes its destination to `notstale`;
-//! deallocation of the device copy demotes the gpu side. The two sides
-//! are never simultaneously `stale` — someone always holds the latest
-//! data (property-tested in `tests/props.rs`).
+//! A write demotes every *other* location to `stale`; a transfer promotes
+//! its destination to `notstale`; deallocation of a device copy demotes
+//! that device's location; compiler-proved dead copies are softened with
+//! `reset_status`. Locations are never all `stale` at once — someone
+//! always holds the latest data (property-tested in `tests/props.rs`).
 //!
 //! ## Event journal
 //!
@@ -41,7 +42,7 @@ pub mod machine;
 pub mod present;
 pub mod report;
 
-pub use coherence::{Coherence, DevSide, Loc, ReadDiag, St, VarState, XferDiag};
+pub use coherence::{Coherence, Loc, ReadDiag, St, VarState, XferDiag};
 pub use machine::{Machine, TransferStats, MAX_DEVICES};
 pub use present::{Mapping, PresentTable};
 pub use report::{Direction, Issue, IssueKind, Report};

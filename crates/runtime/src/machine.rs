@@ -4,31 +4,23 @@
 //! `openarc-core`'s executor drives a [`Machine`] while running translated
 //! host bytecode; every directive-lowered runtime operation lands here.
 //! The machine simulates `N ≥ 1` devices: each device has its own memory
-//! space, race detector and present table, and every runtime operation has
-//! an `_on(DeviceId)` form. The plain forms target the primary device, so
-//! single-device callers read exactly as before the device dimension
-//! existed.
+//! space, race detector and present table, and every runtime operation
+//! names the device or [`Loc`] it acts on.
 
-use crate::coherence::{Coherence, DevSide, Loc, ReadDiag, St};
+use crate::coherence::{Coherence, Loc, ReadDiag, St};
 use crate::present::PresentTable;
 use crate::report::{Direction, Issue, IssueKind, Report};
 use openarc_gpusim::{CostModel, DeviceId, DeviceSet, KernelOutcome, SimClock, TimeCategory};
+use openarc_trace::codec::SIDES;
 use openarc_trace::{EventKind, Journal, JournalPart, TraceEvent, Track};
 use openarc_vm::interp::BasicEnv;
 use openarc_vm::{Handle, VmError};
 
-/// Coherence-journal side labels per device: the primary device keeps the
-/// historical `"gpu"` label; device `d ≥ 1` is `"gpuD"`. A closed table
-/// (rather than `format!`) because journal events carry `&'static str`
-/// sides for the binary codec's interned label table — which also caps the
-/// simulation at [`MAX_DEVICES`] devices.
-const GPU_SIDES: [&str; 8] = [
-    "gpu", "gpu1", "gpu2", "gpu3", "gpu4", "gpu5", "gpu6", "gpu7",
-];
-
-/// Largest simulated device count (the closed `gpuN` side-label table
-/// caps it).
-pub const MAX_DEVICES: usize = GPU_SIDES.len();
+/// Largest simulated device count. Coherence-journal events carry
+/// `&'static str` sides from the trace codec's closed [`SIDES`] table —
+/// `"cpu"`, then `"gpu"` for the primary device and `"gpuD"` for device
+/// `d ≥ 1` — so that table caps the simulation.
+pub const MAX_DEVICES: usize = SIDES.len() - 1;
 
 /// Transfer and allocation statistics (Figure 1's "total transferred data
 /// size" series).
@@ -38,14 +30,10 @@ pub struct TransferStats {
     pub h2d_bytes: u64,
     /// Bytes moved device→host.
     pub d2h_bytes: u64,
-    /// Bytes moved device→device.
-    pub d2d_bytes: u64,
     /// Number of host→device transfers.
     pub h2d_count: u64,
     /// Number of device→host transfers.
     pub d2h_count: u64,
-    /// Number of device→device transfers.
-    pub d2d_count: u64,
     /// Device allocations.
     pub dev_allocs: u64,
     /// Device frees.
@@ -53,14 +41,14 @@ pub struct TransferStats {
 }
 
 impl TransferStats {
-    /// Total bytes moved in any direction.
+    /// Total bytes moved in either direction.
     pub fn total_bytes(&self) -> u64 {
-        self.h2d_bytes + self.d2h_bytes + self.d2d_bytes
+        self.h2d_bytes + self.d2h_bytes
     }
 
     /// Total number of transfers.
     pub fn total_count(&self) -> u64 {
-        self.h2d_count + self.d2h_count + self.d2d_count
+        self.h2d_count + self.d2h_count
     }
 }
 
@@ -91,18 +79,13 @@ pub struct Machine {
 
 impl Default for Machine {
     fn default() -> Machine {
-        Machine::new(BasicEnv::default(), false)
+        Machine::with_devices(BasicEnv::default(), false, 1)
     }
 }
 
 impl Machine {
-    /// Build a single-device machine around a prepared host environment.
-    pub fn new(host: BasicEnv, check_transfers: bool) -> Machine {
-        Machine::with_devices(host, check_transfers, 1)
-    }
-
     /// Build a machine simulating `n_devices` GPUs (clamped to
-    /// `1..=`[`MAX_DEVICES`]).
+    /// `1..=`[`MAX_DEVICES`]) around a prepared host environment.
     pub fn with_devices(host: BasicEnv, check_transfers: bool, n_devices: usize) -> Machine {
         let n = n_devices.clamp(1, MAX_DEVICES);
         Machine {
@@ -116,16 +99,6 @@ impl Machine {
             stats: TransferStats::default(),
             loop_context: Vec::new(),
         }
-    }
-
-    /// The primary device's present table.
-    pub fn present(&self) -> &PresentTable {
-        &self.presents[0]
-    }
-
-    /// Device `d`'s present table.
-    pub fn present_on(&self, d: DeviceId) -> &PresentTable {
-        &self.presents[d.0 as usize]
     }
 
     /// The first device `h` is still mapped on, if any (scan in id order).
@@ -207,7 +180,7 @@ impl Machine {
         }
         for (i, (b, a)) in before.1.iter().zip(after.1.iter()).enumerate() {
             if b != a {
-                changed.push((GPU_SIDES[i], *b, *a));
+                changed.push((SIDES[i + 1], *b, *a));
             }
         }
         for (side, b, a) in changed {
@@ -261,28 +234,13 @@ impl Machine {
         });
     }
 
-    /// Ensure `host_h` is mapped on the primary device; allocates (and
-    /// charges the clock) when absent. Returns (device handle,
-    /// newly_mapped).
-    pub fn map_to_device(&mut self, host_h: Handle) -> Result<(Handle, bool), VmError> {
-        self.map_to_device_on(DeviceId::PRIMARY, host_h)
-    }
-
-    /// [`Machine::map_to_device`] targeting device `dev`.
-    pub fn map_to_device_on(
-        &mut self,
-        dev: DeviceId,
-        host_h: Handle,
-    ) -> Result<(Handle, bool), VmError> {
-        self.map_to_device_on_queue(dev, host_h, None)
-    }
-
-    /// [`Machine::map_to_device_on`] with the allocation charged as
-    /// stream-ordered work on `queue` (the `cudaMallocAsync` model: the
-    /// device runtime services the allocation on the stream, the host
-    /// does not block). `None` keeps the synchronous host-blocking charge
-    /// of the plain mapping path.
-    pub fn map_to_device_on_queue(
+    /// Ensure `host_h` is mapped on device `dev`; allocates (and charges
+    /// the clock) when absent. Returns (device handle, newly_mapped).
+    /// `Some(queue)` charges the allocation as stream-ordered work on that
+    /// queue (the `cudaMallocAsync` model: the device runtime services the
+    /// allocation on the stream, the host does not block); `None` charges
+    /// it synchronously to the host.
+    pub fn map_to_device(
         &mut self,
         dev: DeviceId,
         host_h: Handle,
@@ -315,7 +273,7 @@ impl Machine {
         self.stats.dev_allocs += 1;
         match queue {
             Some(q) => {
-                let ts = self.clock.enqueue_async_on(dev, q, self.cost.alloc_us);
+                let ts = self.clock.enqueue_async(dev, q, self.cost.alloc_us);
                 if self.clock.journal.is_enabled() {
                     self.clock.journal.emit(TraceEvent {
                         ts_us: ts,
@@ -336,22 +294,8 @@ impl Machine {
         Ok((dev_h, true))
     }
 
-    /// True when `host_h` currently has a live mirror on the primary
-    /// device.
-    pub fn is_present(&self, host_h: Handle) -> bool {
-        self.presents[DeviceId::PRIMARY.0 as usize]
-            .device_of(host_h)
-            .is_some()
-    }
-
-    /// Release one region reference; frees the primary-device mirror at
-    /// zero.
-    pub fn unmap_from_device(&mut self, host_h: Handle) -> Result<(), VmError> {
-        self.unmap_from_device_on(DeviceId::PRIMARY, host_h)
-    }
-
-    /// [`Machine::unmap_from_device`] targeting device `dev`.
-    pub fn unmap_from_device_on(&mut self, dev: DeviceId, host_h: Handle) -> Result<(), VmError> {
+    /// Release one region reference; frees device `dev`'s mirror at zero.
+    pub fn unmap_from_device(&mut self, dev: DeviceId, host_h: Handle) -> Result<(), VmError> {
         if let Some(dev_h) = self.presents[dev.0 as usize].release(host_h)? {
             self.devices.get_mut(dev).mem.free(dev_h)?;
             self.clock
@@ -365,28 +309,17 @@ impl Machine {
             // Deallocation makes the device copy stale (paper §III-B).
             let before = self.coh_snapshot(host_h);
             self.coherence
-                .reset_status_at(host_h, Loc::Dev(dev), St::Stale);
+                .reset_status(host_h, Loc::Dev(dev), St::Stale);
             self.emit_coherence_diff(host_h, before, "dealloc");
         }
         Ok(())
     }
 
-    /// Copy host → primary device. `site` names the transfer for reports;
+    /// Copy host → device `dev`. `site` names the transfer for reports;
     /// `queue` makes it asynchronous; `name` is the variable name for
     /// reports (aliased pointers share one buffer label; suggestions must
     /// name the variable the directive used).
-    pub fn copy_to_device_named(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.copy_to_device_named_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::copy_to_device_named`] targeting device `dev`.
-    pub fn copy_to_device_named_on(
+    pub fn copy_to_device(
         &mut self,
         dev: DeviceId,
         host_h: Handle,
@@ -399,7 +332,7 @@ impl Machine {
             .ok_or_else(|| VmError::Internal(format!("{host_h} not present for copyin")))?;
         let (host_mem, dev_mem) = (&self.host.mem, &mut self.devices.get_mut(dev).mem);
         dev_mem.get_mut(dev_h)?.copy_from(host_mem.get(host_h)?)?;
-        self.account_to_device_on(dev, host_h, site, queue, name)
+        self.account_to_device(dev, host_h, site, queue, name)
     }
 
     /// The accounting half of a host→device copy — clock charge, transfer
@@ -408,8 +341,8 @@ impl Machine {
     /// worker thread (they have no observable effect on the simulated
     /// machine) and then replays the accounting here on the main thread in
     /// a fixed order, so the pair is indistinguishable from a plain
-    /// [`Machine::copy_to_device_named_on`] call on device `dev`.
-    pub fn account_to_device_on(
+    /// [`Machine::copy_to_device`] call on device `dev`.
+    pub fn account_to_device(
         &mut self,
         dev: DeviceId,
         host_h: Handle,
@@ -427,27 +360,14 @@ impl Machine {
         self.stats.h2d_count += 1;
         self.emit_transfer(host_h, name, site, ts, dt, track, bytes, true);
         let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Cpu, Loc::Dev(dev));
+        let diag = self.coherence.on_transfer(host_h, Loc::Cpu, Loc::Dev(dev));
         self.emit_coherence_diff(host_h, before, "transfer");
         self.transfer_issues(diag, host_h, site, Direction::ToDevice, name);
         Ok(())
     }
 
-    /// Copy primary device → host, `name` being the report variable name.
-    pub fn copy_to_host_named(
-        &mut self,
-        host_h: Handle,
-        site: &str,
-        queue: Option<i64>,
-        name: Option<&str>,
-    ) -> Result<(), VmError> {
-        self.copy_to_host_named_on(DeviceId::PRIMARY, host_h, site, queue, name)
-    }
-
-    /// [`Machine::copy_to_host_named`] reading back from device `dev`.
-    pub fn copy_to_host_named_on(
+    /// Copy device `dev` → host, `name` being the report variable name.
+    pub fn copy_to_host(
         &mut self,
         dev: DeviceId,
         host_h: Handle,
@@ -468,49 +388,9 @@ impl Machine {
         self.stats.d2h_count += 1;
         self.emit_transfer(host_h, name, site, ts, dt, track, bytes, false);
         let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Dev(dev), Loc::Cpu);
+        let diag = self.coherence.on_transfer(host_h, Loc::Dev(dev), Loc::Cpu);
         self.emit_coherence_diff(host_h, before, "transfer");
         self.transfer_issues(diag, host_h, site, Direction::ToHost, name);
-        Ok(())
-    }
-
-    /// Copy a mapped buffer from device `src` to device `dst` (both must
-    /// hold a mirror of `host_h`). Charged like any other transfer; the
-    /// span lands on `dst`'s queue when `queue` is given.
-    pub fn copy_device_to_device(
-        &mut self,
-        host_h: Handle,
-        src: DeviceId,
-        dst: DeviceId,
-        site: &str,
-        queue: Option<i64>,
-    ) -> Result<(), VmError> {
-        self.track_handle(host_h);
-        let src_h = self.presents[src.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present on {src} for d2d")))?;
-        let dst_h = self.presents[dst.0 as usize]
-            .device_of(host_h)
-            .ok_or_else(|| VmError::Internal(format!("{host_h} not present on {dst} for d2d")))?;
-        let buf = self.devices.get(src).mem.get(src_h)?.clone();
-        let bytes = buf.size_bytes();
-        self.devices
-            .get_mut(dst)
-            .mem
-            .get_mut(dst_h)?
-            .copy_from(&buf)?;
-        let (ts, dt, track) = self.charge_transfer(bytes, dst, queue);
-        self.stats.d2d_bytes += bytes;
-        self.stats.d2d_count += 1;
-        self.emit_transfer(host_h, None, site, ts, dt, track, bytes, true);
-        let before = self.coh_snapshot(host_h);
-        let diag = self
-            .coherence
-            .on_transfer_between(host_h, Loc::Dev(src), Loc::Dev(dst));
-        self.emit_coherence_diff(host_h, before, "transfer");
-        self.transfer_issues(diag, host_h, site, Direction::ToDevice, None);
         Ok(())
     }
 
@@ -525,7 +405,7 @@ impl Machine {
         let dt = self.cost.transfer_time(bytes);
         match queue {
             Some(q) => (
-                self.clock.enqueue_async_on(dev, q, dt),
+                self.clock.enqueue_async(dev, q, dt),
                 dt,
                 Track::Queue { dev: dev.0, id: q },
             ),
@@ -601,16 +481,10 @@ impl Machine {
         }
     }
 
-    /// `check_read` runtime call (two-sided form; `Gpu` is the primary
-    /// device).
-    pub fn check_read(&mut self, h: Handle, side: DevSide, site: &str) {
-        self.check_read_at(h, side.loc(), site);
-    }
-
-    /// [`Machine::check_read`] at an explicit location.
-    pub fn check_read_at(&mut self, h: Handle, loc: Loc, site: &str) {
+    /// `check_read` runtime call: a read of the copy at `loc`.
+    pub fn check_read(&mut self, h: Handle, loc: Loc, site: &str) {
         self.track_handle(h);
-        match self.coherence.check_read_at(h, loc) {
+        match self.coherence.check_read(h, loc) {
             ReadDiag::Ok => {}
             ReadDiag::Missing => self.issue(IssueKind::Missing, h, site, None),
             ReadDiag::MayMissing => self.issue(IssueKind::MayMissing, h, site, None),
@@ -621,23 +495,19 @@ impl Machine {
     /// journaled as a `"reset"` transition like every other state change —
     /// a silent override would break the journal's per-(var, side)
     /// transition chain, which the fuzzer's reference-model replay checks.
-    pub fn reset_status(&mut self, h: Handle, side: DevSide, st: St) {
+    pub fn reset_status(&mut self, h: Handle, loc: Loc, st: St) {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
-        self.coherence.reset_status(h, side, st);
+        self.coherence.reset_status(h, loc, st);
         self.emit_coherence_diff(h, before, "reset");
     }
 
-    /// `check_write` runtime call (also applies the write's state change).
-    pub fn check_write(&mut self, h: Handle, side: DevSide, total: bool, site: &str) {
-        self.check_write_at(h, side.loc(), total, site);
-    }
-
-    /// [`Machine::check_write`] at an explicit location.
-    pub fn check_write_at(&mut self, h: Handle, loc: Loc, total: bool, site: &str) {
+    /// `check_write` runtime call: a write of the copy at `loc` (also
+    /// applies the write's state change).
+    pub fn check_write(&mut self, h: Handle, loc: Loc, total: bool, site: &str) {
         self.track_handle(h);
         let before = self.coh_snapshot(h);
-        let diag = self.coherence.on_write_at(h, loc, total);
+        let diag = self.coherence.on_write(h, loc, total);
         self.emit_coherence_diff(h, before, "write");
         match diag {
             ReadDiag::Ok => {}
@@ -646,14 +516,10 @@ impl Machine {
         }
     }
 
-    /// Charge a kernel execution to the primary device's clock, journaling
-    /// the launch and execution span under the kernel's name.
-    pub fn charge_kernel_named(&mut self, name: &str, outcome: &KernelOutcome, queue: Option<i64>) {
-        self.charge_kernel_named_on(name, outcome, DeviceId::PRIMARY, queue);
-    }
-
-    /// [`Machine::charge_kernel_named`] on device `dev`'s queue.
-    pub fn charge_kernel_named_on(
+    /// Charge a kernel execution on device `dev` (on its `queue` when
+    /// async), journaling the launch and execution span under the
+    /// kernel's name.
+    pub fn charge_kernel(
         &mut self,
         name: &str,
         outcome: &KernelOutcome,
@@ -673,7 +539,7 @@ impl Machine {
         }
         let (ts, track) = match queue {
             Some(q) => (
-                self.clock.enqueue_async_on(dev, q, dt),
+                self.clock.enqueue_async(dev, q, dt),
                 Track::Queue { dev: dev.0, id: q },
             ),
             None => {
@@ -700,13 +566,8 @@ impl Machine {
         self.clock.advance(TimeCategory::CpuTime, dt);
     }
 
-    /// Resolve the primary-device handle for a mapped host buffer.
-    pub fn device_of(&self, host_h: Handle) -> Result<Handle, VmError> {
-        self.device_of_on(DeviceId::PRIMARY, host_h)
-    }
-
     /// Resolve the device handle for a host buffer mapped on `dev`.
-    pub fn device_of_on(&self, dev: DeviceId, host_h: Handle) -> Result<Handle, VmError> {
+    pub fn device_of(&self, dev: DeviceId, host_h: Handle) -> Result<Handle, VmError> {
         self.presents[dev.0 as usize]
             .device_of(host_h)
             .ok_or_else(|| VmError::Internal(format!("{host_h} is not present on {dev}")))
@@ -719,13 +580,11 @@ mod tests {
     use openarc_minic::ScalarTy;
     use openarc_vm::Value;
 
+    const P: DeviceId = DeviceId::PRIMARY;
+    const GPU: Loc = Loc::Dev(P);
+
     fn machine_with_buffer(len: usize) -> (Machine, Handle) {
-        let mut host = BasicEnv {
-            mem: openarc_vm::MemSpace::new(),
-            ..Default::default()
-        };
-        let h = host.mem.alloc(ScalarTy::Double, len, "a");
-        (Machine::new(host, true), h)
+        machine_with_buffer_on(len, 1)
     }
 
     fn machine_with_buffer_on(len: usize, n_devices: usize) -> (Machine, Handle) {
@@ -743,21 +602,18 @@ mod tests {
         for i in 0..8 {
             m.host.mem.store(h, i, Value::F64(i as f64)).unwrap();
         }
-        let (dev, new) = m.map_to_device(h).unwrap();
+        let (dev, new) = m.map_to_device(P, h, None).unwrap();
         assert!(new);
-        m.copy_to_device_named(h, "enter", None, None).unwrap();
-        assert_eq!(
-            m.devices.primary().mem.load(dev, 3).unwrap(),
-            Value::F64(3.0)
-        );
+        m.copy_to_device(P, h, "enter", None, None).unwrap();
+        assert_eq!(m.devices.get(P).mem.load(dev, 3).unwrap(), Value::F64(3.0));
         // Mutate on device, copy back.
         m.devices
-            .primary_mut()
+            .get_mut(P)
             .mem
             .store(dev, 3, Value::F64(99.0))
             .unwrap();
-        m.coherence.on_write(h, DevSide::Gpu, false);
-        m.copy_to_host_named(h, "exit", None, None).unwrap();
+        m.coherence.on_write(h, GPU, false);
+        m.copy_to_host(P, h, "exit", None, None).unwrap();
         assert_eq!(m.host.mem.load(h, 3).unwrap(), Value::F64(99.0));
         assert_eq!(m.stats.h2d_count, 1);
         assert_eq!(m.stats.d2h_count, 1);
@@ -767,8 +623,8 @@ mod tests {
     #[test]
     fn clock_charged_for_alloc_and_transfer() {
         let (mut m, h) = machine_with_buffer(1024);
-        m.map_to_device(h).unwrap();
-        m.copy_to_device_named(h, "enter", None, None).unwrap();
+        m.map_to_device(P, h, None).unwrap();
+        m.copy_to_device(P, h, "enter", None, None).unwrap();
         assert!(m.clock.breakdown.get(TimeCategory::GpuMemAlloc) > 0.0);
         assert!(m.clock.breakdown.get(TimeCategory::MemTransfer) > 0.0);
     }
@@ -776,14 +632,14 @@ mod tests {
     #[test]
     fn nested_mapping_refcounts() {
         let (mut m, h) = machine_with_buffer(4);
-        let (_, new1) = m.map_to_device(h).unwrap();
-        let (_, new2) = m.map_to_device(h).unwrap();
+        let (_, new1) = m.map_to_device(P, h, None).unwrap();
+        let (_, new2) = m.map_to_device(P, h, None).unwrap();
         assert!(new1);
         assert!(!new2);
-        m.unmap_from_device(h).unwrap();
-        assert!(m.present().contains(h));
-        m.unmap_from_device(h).unwrap();
-        assert!(!m.present().contains(h));
+        m.unmap_from_device(P, h).unwrap();
+        assert!(m.presents[0].contains(h));
+        m.unmap_from_device(P, h).unwrap();
+        assert!(!m.presents[0].contains(h));
         assert_eq!(m.stats.dev_allocs, 1);
         assert_eq!(m.stats.dev_frees, 1);
     }
@@ -791,11 +647,11 @@ mod tests {
     #[test]
     fn redundant_transfer_reported_with_context() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
+        m.map_to_device(P, h, None).unwrap();
         m.loop_context.push(("k-loop".into(), 2));
         // Fresh on both sides → the second copyin is redundant.
-        m.copy_to_device_named(h, "enter0", None, None).unwrap();
-        m.copy_to_device_named(h, "enter0", None, None).unwrap();
+        m.copy_to_device(P, h, "enter0", None, None).unwrap();
+        m.copy_to_device(P, h, "enter0", None, None).unwrap();
         let msgs: Vec<String> = m.report.issues.iter().map(|i| i.to_string()).collect();
         assert!(
             msgs.iter()
@@ -807,90 +663,62 @@ mod tests {
     #[test]
     fn missing_transfer_reported_on_stale_read() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
-        m.check_write(h, DevSide::Gpu, false, "kernel0"); // host goes stale
-        m.check_read(h, DevSide::Cpu, "host_read0");
+        m.map_to_device(P, h, None).unwrap();
+        m.check_write(h, GPU, false, "kernel0"); // host goes stale
+        m.check_read(h, Loc::Cpu, "host_read0");
         assert_eq!(m.report.count(IssueKind::Missing), 1);
     }
 
     #[test]
     fn async_transfer_charges_queue_not_host() {
         let (mut m, h) = machine_with_buffer(1 << 20);
-        m.map_to_device(h).unwrap();
+        m.map_to_device(P, h, None).unwrap();
         let before = m.clock.breakdown.get(TimeCategory::MemTransfer);
-        m.copy_to_device_named(h, "enter", Some(1), None).unwrap();
+        m.copy_to_device(P, h, "enter", Some(1), None).unwrap();
         assert_eq!(m.clock.breakdown.get(TimeCategory::MemTransfer), before);
-        m.clock.wait(1);
+        m.clock.wait(P, 1);
         assert!(m.clock.breakdown.get(TimeCategory::AsyncWait) > 0.0);
     }
 
     #[test]
     fn unmap_stales_device_copy() {
         let (mut m, h) = machine_with_buffer(4);
-        m.map_to_device(h).unwrap();
-        m.unmap_from_device(h).unwrap();
+        m.map_to_device(P, h, None).unwrap();
+        m.unmap_from_device(P, h).unwrap();
         // Re-map: coherence remembers the device copy is stale.
-        m.map_to_device(h).unwrap();
-        assert_eq!(m.coherence.state(h).unwrap().gpu(), St::Stale);
+        m.map_to_device(P, h, None).unwrap();
+        assert_eq!(m.coherence.state(h).unwrap().at(GPU), St::Stale);
     }
 
     #[test]
     fn per_device_mappings_are_independent() {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(8, 2);
-        let (_, new0) = m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        let (_, new1) = m.map_to_device_on(d1, h).unwrap();
+        let (_, new0) = m.map_to_device(P, h, None).unwrap();
+        let (_, new1) = m.map_to_device(d1, h, None).unwrap();
         assert!(new0 && new1, "each device allocates its own mirror");
         assert_eq!(m.stats.dev_allocs, 2);
-        assert!(m.present_on(DeviceId::PRIMARY).contains(h));
-        assert!(m.present_on(d1).contains(h));
-        m.unmap_from_device_on(d1, h).unwrap();
-        assert!(m.present_on(DeviceId::PRIMARY).contains(h));
-        assert!(!m.present_on(d1).contains(h));
-        assert_eq!(m.present_anywhere(h), Some(DeviceId::PRIMARY));
-    }
-
-    #[test]
-    fn d2d_copy_moves_bytes_and_accounts() {
-        let d1 = DeviceId(1);
-        let (mut m, h) = machine_with_buffer_on(4, 2);
-        m.host.mem.store(h, 2, Value::F64(7.0)).unwrap();
-        let (dev0, _) = m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        let (dev1, _) = m.map_to_device_on(d1, h).unwrap();
-        m.copy_to_device_named_on(DeviceId::PRIMARY, h, "enter", None, None)
-            .unwrap();
-        m.devices
-            .primary_mut()
-            .mem
-            .store(dev0, 2, Value::F64(42.0))
-            .unwrap();
-        m.check_write_at(h, Loc::Dev(DeviceId::PRIMARY), false, "k0");
-        m.copy_device_to_device(h, DeviceId::PRIMARY, d1, "d2d0", None)
-            .unwrap();
-        assert_eq!(
-            m.devices.get(d1).mem.load(dev1, 2).unwrap(),
-            Value::F64(42.0)
-        );
-        assert_eq!(m.stats.d2d_count, 1);
-        assert_eq!(m.stats.d2d_bytes, 32);
-        // Destination device copy is fresh now; host still stale.
-        assert_eq!(m.coherence.state(h).unwrap().gpu_on(d1), St::NotStale);
-        assert_eq!(m.coherence.state(h).unwrap().cpu, St::Stale);
+        assert!(m.presents[0].contains(h));
+        assert!(m.presents[1].contains(h));
+        m.unmap_from_device(d1, h).unwrap();
+        assert!(m.presents[0].contains(h));
+        assert!(!m.presents[1].contains(h));
+        assert_eq!(m.present_anywhere(h), Some(P));
     }
 
     #[test]
     fn write_on_one_device_stales_all_other_locations() {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(4, 2);
-        m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        m.map_to_device_on(d1, h).unwrap();
-        m.check_write_at(h, Loc::Dev(d1), false, "k0");
+        m.map_to_device(P, h, None).unwrap();
+        m.map_to_device(d1, h, None).unwrap();
+        m.check_write(h, Loc::Dev(d1), false, "k0");
         let v = m.coherence.state(h).unwrap();
         assert_eq!(v.cpu, St::Stale);
-        assert_eq!(v.gpu_on(DeviceId::PRIMARY), St::Stale);
-        assert_eq!(v.gpu_on(d1), St::NotStale);
+        assert_eq!(v.at(GPU), St::Stale);
+        assert_eq!(v.at(Loc::Dev(d1)), St::NotStale);
         // A read on the primary device now reports a missing transfer.
-        m.check_read_at(h, Loc::Dev(DeviceId::PRIMARY), "k1");
+        m.check_read(h, GPU, "k1");
         assert_eq!(m.report.count(IssueKind::Missing), 1);
     }
 
@@ -899,13 +727,13 @@ mod tests {
         use openarc_trace::EventKind as Ev;
         let (mut m, h) = machine_with_buffer(8);
         m.set_journal(Journal::enabled());
-        m.map_to_device(h).unwrap(); // miss + alloc
-        m.map_to_device(h).unwrap(); // hit
-        m.copy_to_device_named(h, "enter0", None, None).unwrap(); // redundant → finding
-        m.check_write(h, DevSide::Gpu, false, "k0"); // cpu → stale
-        m.copy_to_host_named(h, "exit0", None, None).unwrap();
-        m.unmap_from_device(h).unwrap();
-        m.unmap_from_device(h).unwrap(); // refcount 0 → free
+        m.map_to_device(P, h, None).unwrap(); // miss + alloc
+        m.map_to_device(P, h, None).unwrap(); // hit
+        m.copy_to_device(P, h, "enter0", None, None).unwrap(); // redundant → finding
+        m.check_write(h, GPU, false, "k0"); // cpu → stale
+        m.copy_to_host(P, h, "exit0", None, None).unwrap();
+        m.unmap_from_device(P, h).unwrap();
+        m.unmap_from_device(P, h).unwrap(); // refcount 0 → free
         m.flush_journal();
         let events = m.journal().snapshot();
         let has = |pred: &dyn Fn(&Ev) -> bool| events.iter().any(|e| pred(&e.kind));
@@ -958,9 +786,9 @@ mod tests {
         let d1 = DeviceId(1);
         let (mut m, h) = machine_with_buffer_on(4, 2);
         m.set_journal(Journal::enabled());
-        m.map_to_device_on(DeviceId::PRIMARY, h).unwrap();
-        m.map_to_device_on(d1, h).unwrap();
-        m.check_write_at(h, Loc::Dev(DeviceId::PRIMARY), false, "k0");
+        m.map_to_device(P, h, None).unwrap();
+        m.map_to_device(d1, h, None).unwrap();
+        m.check_write(h, GPU, false, "k0");
         m.flush_journal();
         let events = m.journal().snapshot();
         let sides: Vec<&str> = events
@@ -978,8 +806,8 @@ mod tests {
     #[test]
     fn disabled_journal_changes_nothing() {
         let (mut m, h) = machine_with_buffer(8);
-        m.map_to_device(h).unwrap();
-        m.copy_to_device_named(h, "enter0", None, None).unwrap();
+        m.map_to_device(P, h, None).unwrap();
+        m.copy_to_device(P, h, "enter0", None, None).unwrap();
         assert!(!m.journal().is_enabled());
         assert!(m.journal().snapshot().is_empty());
         assert_eq!(m.report.issues.len(), 1, "report still works untraced");
@@ -994,10 +822,10 @@ mod tests {
             races: vec![],
             n_threads: 1000,
         };
-        m.charge_kernel_named("kernel", &out, None);
+        m.charge_kernel("kernel", &out, P, None);
         assert!(m.clock.breakdown.get(TimeCategory::KernelExec) > 0.0);
         let before = m.clock.now();
-        m.charge_kernel_named("kernel", &out, Some(2));
+        m.charge_kernel("kernel", &out, P, Some(2));
         assert_eq!(m.clock.now(), before, "async kernel does not advance host");
     }
 
@@ -1011,8 +839,8 @@ mod tests {
             races: vec![],
             n_threads: 1000,
         };
-        m.charge_kernel_named_on("ka", &out, DeviceId::PRIMARY, Some(1));
-        m.charge_kernel_named_on("kb", &out, DeviceId(1), Some(1));
+        m.charge_kernel("ka", &out, P, Some(1));
+        m.charge_kernel("kb", &out, DeviceId(1), Some(1));
         m.flush_journal();
         let spans: Vec<(f64, f64, Track)> = m
             .journal()

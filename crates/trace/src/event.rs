@@ -87,6 +87,7 @@ pub enum Track {
 
 impl Track {
     /// A queue track on the primary device (device 0).
+    #[cfg(test)]
     pub fn queue0(id: i64) -> Track {
         Track::Queue { dev: 0, id }
     }

@@ -197,6 +197,7 @@ impl JournalPart {
     }
 
     /// Events buffered but not yet flushed.
+    #[cfg(test)]
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }

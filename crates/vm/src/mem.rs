@@ -227,6 +227,7 @@ impl MemSpace {
     }
 
     /// Number of live buffers.
+    #[cfg(test)]
     pub fn live_buffers(&self) -> usize {
         self.bufs.iter().filter(|b| b.is_some()).count()
     }

@@ -8,7 +8,7 @@
 use openarc::gpusim::DeviceId;
 use openarc::minic::{parse, print_program};
 use openarc::openacc::{parse_directive, DataClause, DataClauseKind, Directive, LoopSpec};
-use openarc::runtime::{Coherence, DevSide, Loc, PresentTable, ReadDiag, St, XferDiag};
+use openarc::runtime::{Coherence, Loc, PresentTable, ReadDiag, St, XferDiag};
 use openarc::vm::interp::eval_bin;
 use openarc::vm::{Handle, MemSpace, Value};
 use openarc_minic::ast::BinOp;
@@ -218,6 +218,18 @@ fn present_table_refcount_balance() {
 
 // ----------------------------------------------- coherence machine
 
+/// The primary device's copy: the paper's two-sided `gpu` side.
+const GPU: Loc = Loc::Dev(DeviceId::PRIMARY);
+
+/// The opposite side in the single-device, two-sided view.
+fn other(side: Loc) -> Loc {
+    if side == Loc::Cpu {
+        GPU
+    } else {
+        Loc::Cpu
+    }
+}
+
 /// After any event sequence: the two copies are never both stale, a
 /// transfer to a side makes reads on that side clean, and a remote write
 /// makes the untouched side dirty.
@@ -225,44 +237,44 @@ fn present_table_refcount_balance() {
 fn coherence_transfer_always_cleans() {
     let mut rng = Rng::new(5);
     for _ in 0..100 {
-        let mut c = Coherence::new(true);
+        let mut c = Coherence::with_devices(true, 1);
         let h = Handle(3);
         c.track(h, "a");
         let n_ops = rng.below(40);
         for _ in 0..n_ops {
             match rng.below(6) {
                 0 => {
-                    c.on_write(h, DevSide::Cpu, false);
+                    c.on_write(h, Loc::Cpu, false);
                 }
                 1 => {
-                    c.on_write(h, DevSide::Gpu, false);
+                    c.on_write(h, GPU, false);
                 }
                 2 => {
-                    c.on_write(h, DevSide::Cpu, true);
+                    c.on_write(h, Loc::Cpu, true);
                 }
                 3 => {
-                    c.on_write(h, DevSide::Gpu, true);
+                    c.on_write(h, GPU, true);
                 }
                 4 => {
-                    c.on_transfer(h, DevSide::Cpu);
+                    c.on_transfer(h, GPU, Loc::Cpu);
                 }
                 _ => {
-                    c.on_transfer(h, DevSide::Gpu);
+                    c.on_transfer(h, Loc::Cpu, GPU);
                 }
             }
             // Invariant: the two copies are never both stale — someone
             // holds the latest data.
             let v = c.state(h).unwrap();
             assert!(
-                !(v.cpu == St::Stale && v.gpu() == St::Stale),
+                !(v.cpu == St::Stale && v.at(GPU) == St::Stale),
                 "both sides stale: {v:?}"
             );
         }
         // A transfer in always cleans the destination.
-        c.on_transfer(h, DevSide::Cpu);
-        assert_eq!(c.check_read(h, DevSide::Cpu), ReadDiag::Ok);
-        c.on_write(h, DevSide::Cpu, false);
-        assert_eq!(c.check_read(h, DevSide::Gpu), ReadDiag::Missing);
+        c.on_transfer(h, GPU, Loc::Cpu);
+        assert_eq!(c.check_read(h, Loc::Cpu), ReadDiag::Ok);
+        c.on_write(h, Loc::Cpu, false);
+        assert_eq!(c.check_read(h, GPU), ReadDiag::Missing);
     }
 }
 
@@ -284,21 +296,23 @@ impl ModelVar {
         }
     }
 
-    fn get(&self, side: DevSide) -> St {
-        match side {
-            DevSide::Cpu => self.cpu,
-            DevSide::Gpu => self.gpu,
+    fn get(&self, side: Loc) -> St {
+        if side == Loc::Cpu {
+            self.cpu
+        } else {
+            self.gpu
         }
     }
 
-    fn set(&mut self, side: DevSide, st: St) {
-        match side {
-            DevSide::Cpu => self.cpu = st,
-            DevSide::Gpu => self.gpu = st,
+    fn set(&mut self, side: Loc, st: St) {
+        if side == Loc::Cpu {
+            self.cpu = st
+        } else {
+            self.gpu = st
         }
     }
 
-    fn check_read(&self, side: DevSide) -> ReadDiag {
+    fn check_read(&self, side: Loc) -> ReadDiag {
         match self.get(side) {
             St::Stale => ReadDiag::Missing,
             St::MayStale => ReadDiag::MayMissing,
@@ -306,7 +320,7 @@ impl ModelVar {
         }
     }
 
-    fn on_write(&mut self, side: DevSide, total: bool) -> ReadDiag {
+    fn on_write(&mut self, side: Loc, total: bool) -> ReadDiag {
         let before = self.get(side);
         // Partially overwriting a stale copy means the read part of the
         // region may be outdated — the paper's may-missing case.
@@ -321,12 +335,12 @@ impl ModelVar {
             St::MayStale
         };
         self.set(side, local);
-        self.set(side.other(), St::Stale);
+        self.set(other(side), St::Stale);
         diag
     }
 
-    fn on_transfer(&mut self, dst: DevSide) -> XferDiag {
-        let incorrect = match self.get(dst.other()) {
+    fn on_transfer(&mut self, dst: Loc) -> XferDiag {
+        let incorrect = match self.get(other(dst)) {
             St::Stale => Some(true),
             St::MayStale => Some(false),
             St::NotStale => None,
@@ -344,11 +358,11 @@ impl ModelVar {
     }
 }
 
-fn rand_side(rng: &mut Rng) -> DevSide {
+fn rand_side(rng: &mut Rng) -> Loc {
     if rng.below(2) == 0 {
-        DevSide::Cpu
+        Loc::Cpu
     } else {
-        DevSide::Gpu
+        GPU
     }
 }
 
@@ -365,7 +379,7 @@ fn rand_st(rng: &mut Rng) -> St {
 fn drive_coherence_vs_model(seed: u64, ops: usize) {
     let mut rng = Rng::new(seed);
     let handles = [Handle(1), Handle(2), Handle(3)];
-    let mut c = Coherence::new(true);
+    let mut c = Coherence::with_devices(true, 1);
     // `None` = untracked: the tracker answers Ok / all-None for those, and
     // `track` only initialises state for handles it is not already holding.
     let mut model: [Option<ModelVar>; 3] = [None, None, None];
@@ -407,7 +421,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
                     },
                     |m| m.on_transfer(dst),
                 );
-                assert_eq!(c.on_transfer(h, dst), want, "on_transfer {ctx}");
+                assert_eq!(c.on_transfer(h, other(dst), dst), want, "on_transfer {ctx}");
             }
             5 => {
                 let side = rand_side(&mut rng);
@@ -422,7 +436,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
                 match (c.state(h), model[i]) {
                     (Some(v), Some(m)) => {
                         assert_eq!(v.cpu, m.cpu, "cpu state {ctx}");
-                        assert_eq!(v.gpu(), m.gpu, "gpu state {ctx}");
+                        assert_eq!(v.at(GPU), m.gpu, "gpu state {ctx}");
                     }
                     (None, None) => {}
                     (got, want) => panic!("tracked-ness mismatch {ctx}: {got:?} vs {want:?}"),
@@ -435,7 +449,7 @@ fn drive_coherence_vs_model(seed: u64, ops: usize) {
         match (c.state(*h), model[i]) {
             (Some(v), Some(m)) => {
                 assert_eq!(
-                    (v.cpu, v.gpu()),
+                    (v.cpu, v.at(GPU)),
                     (m.cpu, m.gpu),
                     "final state seed={seed} h={h:?}"
                 );
@@ -591,7 +605,7 @@ fn drive_coherence_vs_model_n(seed: u64, n_devices: usize, ops: usize) {
                 let want = model[i]
                     .as_ref()
                     .map_or(ReadDiag::Ok, |m| m.check_read_at(loc));
-                assert_eq!(c.check_read_at(h, loc), want, "check_read_at {ctx}");
+                assert_eq!(c.check_read(h, loc), want, "check_read {ctx}");
             }
             3 => {
                 let loc = rand_loc(&mut rng, n_devices);
@@ -599,7 +613,7 @@ fn drive_coherence_vs_model_n(seed: u64, n_devices: usize, ops: usize) {
                 let want = model[i]
                     .as_mut()
                     .map_or(ReadDiag::Ok, |m| m.on_write_at(loc, total));
-                assert_eq!(c.on_write_at(h, loc, total), want, "on_write_at {ctx}");
+                assert_eq!(c.on_write(h, loc, total), want, "on_write {ctx}");
             }
             4 => {
                 // Transfer between two distinct locations: host↔device or
@@ -616,16 +630,12 @@ fn drive_coherence_vs_model_n(seed: u64, n_devices: usize, ops: usize) {
                     },
                     |m| m.on_transfer_between(src, dst),
                 );
-                assert_eq!(
-                    c.on_transfer_between(h, src, dst),
-                    want,
-                    "on_transfer_between {ctx}"
-                );
+                assert_eq!(c.on_transfer(h, src, dst), want, "on_transfer {ctx}");
             }
             5 => {
                 let loc = rand_loc(&mut rng, n_devices);
                 let st = rand_st(&mut rng);
-                c.reset_status_at(h, loc, st);
+                c.reset_status(h, loc, st);
                 if let Some(m) = model[i].as_mut() {
                     m.set_at(loc, st);
                 }
@@ -655,8 +665,8 @@ fn drive_coherence_vs_model_n(seed: u64, n_devices: usize, ops: usize) {
 /// The per-device tracker agrees with the N-device reference model on
 /// every diagnosis and every visible state over long random op streams,
 /// for 2–4 simulated devices. The single-device case is covered by
-/// [`coherence_tracker_matches_reference_model`] through the two-sided
-/// wrappers, so together the two tests pin both views of the tracker.
+/// [`coherence_tracker_matches_reference_model`] against the two-sided
+/// model, so together the two tests pin both views of the tracker.
 #[test]
 fn coherence_tracker_matches_reference_model_n_devices() {
     for n_devices in 2..=4 {
@@ -677,7 +687,7 @@ fn coherence_tracker_matches_reference_model_n_devices() {
 #[test]
 fn coherence_disabled_tracker_stays_silent() {
     let mut rng = Rng::new(0xD15AB1ED);
-    let mut c = Coherence::new(false);
+    let mut c = Coherence::with_devices(false, 1);
     let h = Handle(9);
     for _ in 0..300 {
         match rng.below(6) {
@@ -692,7 +702,7 @@ fn coherence_disabled_tracker_stays_silent() {
             }
             3 => {
                 let dst = rand_side(&mut rng);
-                let d = c.on_transfer(h, dst);
+                let d = c.on_transfer(h, other(dst), dst);
                 assert_eq!(d.incorrect, None);
                 assert_eq!(d.redundant, None);
             }
