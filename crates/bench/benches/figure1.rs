@@ -3,6 +3,7 @@
 
 use openarc_bench::timing::report;
 use openarc_core::exec::ExecOptions;
+use openarc_core::pipeline::Session;
 use openarc_suite::{jacobi, run_variant, Scale, Variant};
 
 fn main() {
@@ -14,7 +15,8 @@ fn main() {
                 race_detect: false,
                 ..Default::default()
             };
-            let (_, r) = run_variant(&b, v, &Default::default(), &eopts).unwrap();
+            let session = Session::default();
+            let (_, r) = run_variant(&session, &b, v, &Default::default(), &eopts).unwrap();
             r.machine.stats.total_bytes()
         });
     }

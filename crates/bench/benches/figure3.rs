@@ -3,15 +3,23 @@
 
 use openarc_bench::timing::report;
 use openarc_core::exec::{execute, ExecMode, ExecOptions, VerifyOptions};
+use openarc_core::pipeline::Session;
 use openarc_suite::{hotspot, translate_variant, Scale, Variant};
 
 fn main() {
     println!("figure3_hotspot");
     let b = hotspot::benchmark(Scale::default());
-    let tr = translate_variant(&b, Variant::Optimized, &Default::default()).unwrap();
+    let tra = translate_variant(
+        &Session::default(),
+        &b,
+        Variant::Optimized,
+        &Default::default(),
+    )
+    .unwrap();
+    let tr = &tra.tr;
     report("plain", 10, || {
         execute(
-            &tr,
+            tr,
             &ExecOptions {
                 race_detect: false,
                 ..Default::default()
@@ -21,7 +29,7 @@ fn main() {
     });
     report("verify_all_kernels", 10, || {
         execute(
-            &tr,
+            tr,
             &ExecOptions {
                 mode: ExecMode::Verify(VerifyOptions::default()),
                 race_detect: false,

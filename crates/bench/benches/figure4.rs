@@ -3,14 +3,18 @@
 
 use openarc_bench::timing::report;
 use openarc_core::exec::{execute, ExecOptions};
+use openarc_core::pipeline::Session;
 use openarc_core::translate::TranslateOptions;
 use openarc_suite::{srad, translate_variant, Scale, Variant};
 
 fn main() {
     println!("figure4_srad");
     let b = srad::benchmark(Scale::default());
-    let plain_tr = translate_variant(&b, Variant::Optimized, &Default::default()).unwrap();
+    let session = Session::default();
+    let plain_tr =
+        translate_variant(&session, &b, Variant::Optimized, &Default::default()).unwrap();
     let instr_tr = translate_variant(
+        &session,
         &b,
         Variant::Optimized,
         &TranslateOptions {
@@ -21,7 +25,7 @@ fn main() {
     .unwrap();
     report("uninstrumented", 10, || {
         execute(
-            &plain_tr,
+            &plain_tr.tr,
             &ExecOptions {
                 race_detect: false,
                 ..Default::default()
@@ -31,7 +35,7 @@ fn main() {
     });
     report("instrumented", 10, || {
         execute(
-            &instr_tr,
+            &instr_tr.tr,
             &ExecOptions {
                 check_transfers: true,
                 race_detect: false,

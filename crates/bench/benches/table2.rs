@@ -4,8 +4,8 @@
 use openarc_bench::timing::report;
 use openarc_core::exec::VerifyOptions;
 use openarc_core::faults::strip_privatization;
+use openarc_core::pipeline::Session;
 use openarc_core::translate::TranslateOptions;
-use openarc_core::verify::verify_kernels;
 use openarc_suite::{ep, Scale, Variant};
 
 fn main() {
@@ -19,6 +19,10 @@ fn main() {
             auto_reduction: false,
             ..Default::default()
         };
-        verify_kernels(&stripped, &s, &topts, VerifyOptions::default()).unwrap()
+        let session = Session::default();
+        let fe = session.frontend_program(stripped, s.clone());
+        session
+            .verify(&fe, &topts, VerifyOptions::default())
+            .unwrap()
     });
 }

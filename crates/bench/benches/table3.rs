@@ -4,6 +4,7 @@
 use openarc_bench::timing::report;
 use openarc_core::exec::ExecOptions;
 use openarc_core::interactive::optimize_transfers;
+use openarc_core::pipeline::Session;
 use openarc_core::translate::TranslateOptions;
 use openarc_suite::{jacobi, Scale, Variant};
 
@@ -20,7 +21,8 @@ fn main() {
             race_detect: false,
             ..Default::default()
         };
-        let out = optimize_transfers(&p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
+        let session = Session::default();
+        let out = optimize_transfers(&session, &p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
         assert!(out.converged);
         out.iterations
     });

@@ -1,8 +1,7 @@
 //! DAG-executor benchmark: for every benchmark in the suite, run kernel
 //! verification under the sequential oracle (`dagJobs=1, devices=1`) and
 //! under the dependency-DAG schedule (`dagJobs=4, devices=2`) with each
-//! placement policy — round-robin, cost-model EFT, and EFT over costs
-//! calibrated from the round-robin run's journal — gate on every
+//! placement policy — round-robin and cost-model EFT — gate on every
 //! verification observable being bit-identical, and report wall-clock
 //! p50/p95 per mode plus per-device utilization of each placement's
 //! simulated timeline. Writes `BENCH_dag.json`; exits non-zero when the
@@ -20,9 +19,9 @@
 
 use openarc_bench::args::{BenchArgs, FLAGS_HELP};
 use openarc_bench::timing;
-use openarc_core::exec::dag::cost::MeasuredCosts;
 use openarc_core::exec::dag::Placement;
 use openarc_core::exec::{execute, ExecMode, ExecOptions, RunResult, VerifyOptions};
+use openarc_core::pipeline::Session;
 use openarc_core::translate::TranslateOptions;
 use openarc_trace::json::Json;
 use openarc_trace::{EventKind, Journal, TraceEvent, Track};
@@ -35,7 +34,6 @@ fn verify_run(
     dag_jobs: usize,
     devices: usize,
     placement: Placement,
-    measured: Option<MeasuredCosts>,
 ) -> (RunResult, Vec<TraceEvent>) {
     let journal = Journal::enabled();
     let eopts = ExecOptions {
@@ -43,7 +41,6 @@ fn verify_run(
             dag_jobs,
             devices,
             placement,
-            measured,
             ..Default::default()
         }),
         journal: journal.clone(),
@@ -114,7 +111,7 @@ fn cross_device_overlap(events: &[TraceEvent]) -> bool {
     })
 }
 
-/// One placement's measured leg for one benchmark.
+/// One placement's leg for one benchmark.
 struct PlacementResult {
     placement: Placement,
     identical: bool,
@@ -149,20 +146,13 @@ fn main() {
     let mut eft_regressions: Vec<String> = Vec::new();
     let mut eft_wins = 0usize;
     println!(
-        "{:<10} {:>9} {:>9} | {:>9} {:>11} | {:>9} {:>11} {:>7} | {:>9} {:>11}",
-        "benchmark",
-        "seq sim",
-        "dag sim",
-        "rr dev",
-        "rr util",
-        "eft dev",
-        "eft util",
-        "cut",
-        "meas dev",
-        "meas util"
+        "{:<10} {:>9} {:>9} | {:>9} {:>11} | {:>9} {:>11} {:>7}",
+        "benchmark", "seq sim", "dag sim", "rr dev", "rr util", "eft dev", "eft util", "cut",
     );
+    let session = Session::default();
     for b in openarc_suite::all(scale) {
-        let tr = openarc_suite::translate_variant(
+        let tra = openarc_suite::translate_variant(
+            &session,
             &b,
             openarc_suite::Variant::Naive,
             &TranslateOptions::default(),
@@ -171,35 +161,19 @@ fn main() {
             eprintln!("dag: {e}");
             std::process::exit(1)
         });
+        let tr = &tra.tr;
 
-        let (oracle, _) = verify_run(&tr, 1, 1, Placement::RoundRobin, None);
-        let t_seq = timing::measure(samples, || {
-            verify_run(&tr, 1, 1, Placement::RoundRobin, None)
-        });
-
-        // Round-robin leg first: its journal calibrates the measured leg.
-        let (rr_run, rr_events) = verify_run(&tr, DAG_JOBS, DEVICES, Placement::RoundRobin, None);
-        let calibration = MeasuredCosts::from_journal(&rr_events);
+        let (oracle, _) = verify_run(tr, 1, 1, Placement::RoundRobin);
+        let t_seq = timing::measure(samples, || verify_run(tr, 1, 1, Placement::RoundRobin));
 
         let mut legs: Vec<PlacementResult> = Vec::new();
-        for placement in [Placement::RoundRobin, Placement::Eft, Placement::Measured] {
-            let measured = (placement == Placement::Measured).then(|| calibration.clone());
-            let (run, events) = if placement == Placement::RoundRobin {
-                // Reuse the calibration run; reruns are bit-identical.
-                (
-                    verify_run(&tr, DAG_JOBS, DEVICES, placement, None).0,
-                    rr_events.clone(),
-                )
-            } else {
-                verify_run(&tr, DAG_JOBS, DEVICES, placement, measured.clone())
-            };
+        for placement in [Placement::RoundRobin, Placement::Eft] {
+            let (run, events) = verify_run(tr, DAG_JOBS, DEVICES, placement);
             let identical = observables_identical(&oracle, &run);
             all_identical &= identical;
             let overlap = cross_device_overlap(&events);
             any_overlap |= overlap;
-            let t = timing::measure(samples, || {
-                verify_run(&tr, DAG_JOBS, DEVICES, placement, measured.clone())
-            });
+            let t = timing::measure(samples, || verify_run(tr, DAG_JOBS, DEVICES, placement));
             let busy = device_busy(&events, DEVICES);
             legs.push(PlacementResult {
                 placement,
@@ -211,7 +185,6 @@ fn main() {
                 timing: t,
             });
         }
-        drop(rr_run);
 
         let rr_sim = legs[0].sim_us;
         let eft_sim = legs[1].sim_us;
@@ -237,7 +210,7 @@ fn main() {
                 .join(" ")
         };
         println!(
-            "{:<10} {:>7.0}µs {:>7.0}µs | {:>7.0}µs {:>11} | {:>7.0}µs {:>11} {:>6.1}% | {:>7.0}µs {:>11}{}",
+            "{:<10} {:>7.0}µs {:>7.0}µs | {:>7.0}µs {:>11} | {:>7.0}µs {:>11} {:>6.1}%{}",
             b.name,
             oracle.sim_time_us(),
             eft_sim,
@@ -246,8 +219,6 @@ fn main() {
             eft_dev,
             utils(&legs[1]),
             cut * 100.0,
-            legs[2].dev_makespan_us,
-            utils(&legs[2]),
             if legs.iter().all(|l| l.identical) {
                 ""
             } else {

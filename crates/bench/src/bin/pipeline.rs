@@ -115,8 +115,10 @@ fn main() {
             });
             (r, journal.drain())
         };
+        let session = Session::default();
         for b in openarc_suite::all(scale) {
-            let tr = openarc_suite::translate_variant(
+            let tra = openarc_suite::translate_variant(
+                &session,
                 &b,
                 openarc_suite::Variant::Optimized,
                 &TranslateOptions::default(),
@@ -125,9 +127,10 @@ fn main() {
                 eprintln!("pipeline: {e}");
                 std::process::exit(1)
             });
+            let tr = &tra.tr;
             let stage_journal = Journal::enabled();
-            let (seq, seq_events) = run(&tr, false, 1, Journal::disabled());
-            let (par, par_events) = run(&tr, true, jobs, stage_journal.clone());
+            let (seq, seq_events) = run(tr, false, 1, Journal::disabled());
+            let (par, par_events) = run(tr, true, jobs, stage_journal.clone());
             let same = par_events == seq_events
                 && par.sim_time_us().to_bits() == seq.sim_time_us().to_bits()
                 && par.verify.len() == seq.verify.len()

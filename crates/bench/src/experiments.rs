@@ -9,10 +9,10 @@
 use crate::sweep::Sweep;
 use openarc_core::exec::{ExecMode, ExecOptions, VerifyOptions};
 use openarc_core::faults::strip_privatization;
-use openarc_core::interactive::{capture_outputs, optimize_transfers_in_session, outputs_match};
+use openarc_core::interactive::{capture_outputs, optimize_transfers, outputs_match};
 use openarc_core::translate::TranslateOptions;
 use openarc_gpusim::TimeCategory;
-use openarc_suite::{run_variant_cached, Benchmark, Variant};
+use openarc_suite::{run_variant, Benchmark, Variant};
 use std::collections::BTreeSet;
 
 // ------------------------------------------------------------- Figure 1
@@ -40,14 +40,14 @@ pub struct Fig1Row {
 /// memory-management scheme, normalized to the fully optimized code.
 pub fn figure1(sw: &Sweep) -> Result<Vec<Fig1Row>, String> {
     let mut rows = sw.map_benchmarks(|b| {
-        let (_, naive) = run_variant_cached(
+        let (_, naive) = run_variant(
             &sw.session,
             b,
             Variant::Naive,
             &topts_plain(),
             &eopts_plain(),
         )?;
-        let (_, opt) = run_variant_cached(
+        let (_, opt) = run_variant(
             &sw.session,
             b,
             Variant::Optimized,
@@ -243,7 +243,7 @@ pub fn table3(sw: &Sweep) -> Result<Vec<Table3Row>, String> {
             .session
             .frontend(b.source(Variant::Unoptimized))
             .map_err(|e| format!("{}: {e:?}", b.name))?;
-        let out = optimize_transfers_in_session(
+        let out = optimize_transfers(
             &sw.session,
             &fe.program,
             &fe.sema,
@@ -254,7 +254,7 @@ pub fn table3(sw: &Sweep) -> Result<Vec<Table3Row>, String> {
         )
         .map_err(|e| format!("{}: {e}", b.name))?;
         // Reference: hand-optimized transfer count.
-        let (_, opt) = run_variant_cached(
+        let (_, opt) = run_variant(
             &sw.session,
             b,
             Variant::Optimized,
@@ -296,7 +296,7 @@ pub struct Fig4Row {
 /// optimized programs.
 pub fn figure4(sw: &Sweep) -> Result<Vec<Fig4Row>, String> {
     let mut rows = sw.map_benchmarks(|b| {
-        let (_, plain) = run_variant_cached(
+        let (_, plain) = run_variant(
             &sw.session,
             b,
             Variant::Optimized,
@@ -312,7 +312,7 @@ pub fn figure4(sw: &Sweep) -> Result<Vec<Fig4Row>, String> {
             race_detect: false,
             ..Default::default()
         };
-        let (_, instr) = run_variant_cached(&sw.session, b, Variant::Optimized, &topts, &eopts)?;
+        let (_, instr) = run_variant(&sw.session, b, Variant::Optimized, &topts, &eopts)?;
         let p = plain.sim_time_us().max(1e-9);
         Ok(Fig4Row {
             name: b.name.to_string(),
@@ -355,7 +355,7 @@ pub fn validate_suite(sw: &Sweep) -> Result<Vec<String>, String> {
 }
 
 fn check_at_scale(sw: &Sweep, b: &Benchmark, v: Variant) -> Result<(), String> {
-    let (tr, gpu) = run_variant_cached(&sw.session, b, v, &topts_plain(), &eopts_plain())?;
+    let (tr, gpu) = run_variant(&sw.session, b, v, &topts_plain(), &eopts_plain())?;
     let cpu = sw
         .session
         .execute(

@@ -16,7 +16,7 @@ use openarc_core::exec::ExecOptions;
 use openarc_core::pipeline::Session;
 use openarc_core::sched::run_tasks;
 use openarc_core::translate::TranslateOptions;
-use openarc_suite::{all, run_variant_cached, Benchmark, Scale, Variant};
+use openarc_suite::{all, run_variant, Benchmark, Scale, Variant};
 use openarc_trace::json::Json;
 use openarc_trace::{merge_parts, Journal, TraceEvent};
 
@@ -133,8 +133,7 @@ impl Sweep {
                 journal: journal.clone(),
                 ..Default::default()
             };
-            let (_, r) =
-                run_variant_cached(&self.session, b, v, &TranslateOptions::default(), &eopts)?;
+            let (_, r) = run_variant(&self.session, b, v, &TranslateOptions::default(), &eopts)?;
             // `drain` (not `snapshot`): the cell owns its buffer, so the
             // merge below moves events instead of copying them.
             let events = journal.drain();

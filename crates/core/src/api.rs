@@ -781,6 +781,60 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::BadRequest);
     }
 
+    /// Programs exactly [`openarc_minic::MAX_DEPTH`] levels deep, each
+    /// written with `k` repeats of one nesting shape.
+    fn deepest_programs(k: usize) -> Vec<String> {
+        let host = |body: String| {
+            format!(
+                "double a[16];\nint c;\nint i;\nvoid main() {{\n int j;\n {body}\n \
+                 #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) {{ a[j] = 1.0; }}\n}}"
+            )
+        };
+        let kernel = |value: String| {
+            format!(
+                "double a[16];\nint ix[16];\nvoid main() {{\n int j;\n \
+                 #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) {{ a[j] = {value}; }}\n}}"
+            )
+        };
+        vec![
+            // Statement levels: `k` wrappers around a one-level statement.
+            host(format!("{}c = 1;", "if (c >= 0) ".repeat(k - 1))),
+            host(format!(
+                "{}c = 1;",
+                "for (i = 0; i < 1; i++) ".repeat(k - 1)
+            )),
+            host(format!("{}c = 1;{}", "{".repeat(k - 1), "}".repeat(k - 1))),
+            // Expression levels inside a kernel: the loop and the
+            // assignment are two levels of their own.
+            kernel(format!("{}1.0{}", "(".repeat(k - 2), ")".repeat(k - 2))),
+            kernel(format!("1.0{}", " + 1.0".repeat(k - 2))),
+            kernel(format!("{}1.0{}", "sqrt(".repeat(k - 2), ")".repeat(k - 2))),
+            kernel(format!("{}j{}", "ix[".repeat(k - 2), "]".repeat(k - 2))),
+        ]
+    }
+
+    #[test]
+    fn deepest_accepted_programs_verify_on_a_2_mib_stack() {
+        let max = openarc_minic::MAX_DEPTH as usize;
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let session = Session::builder().build();
+                for src in deepest_programs(max) {
+                    let r = handle(&session, &Request::new(Action::Verify, src.clone()));
+                    assert_eq!(r.map(|r| r.exit_code).ok(), Some(0), "{src}");
+                }
+                for src in deepest_programs(max + 1) {
+                    let err = handle(&session, &Request::new(Action::Verify, src)).unwrap_err();
+                    assert_eq!(err.kind, ErrorKind::Program);
+                    assert!(err.message.contains("nests deeper than"), "{}", err.message);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn program_errors_classify_by_exit_code() {
         let session = Session::builder().build();

@@ -60,7 +60,7 @@
 use crate::cache::{DiskCache, DiskStats, Lookup};
 use crate::exec::{execute, ExecMode, ExecOptions, RunResult, VerifyOptions};
 use crate::translate::{translate, TranslateOptions, Translated};
-use crate::verify::{VerificationReport, VerifyError};
+use crate::verify::VerificationReport;
 use openarc_minic::ast::{walk_stmts, Item};
 use openarc_minic::span::Diagnostic;
 use openarc_minic::{frontend, print_program, Program, Sema};
@@ -154,7 +154,9 @@ fn fp_translate_options(o: &TranslateOptions) -> u64 {
         .write_bool(o.hoist_gpu_checks)
         .write_bool(o.auto_privatize)
         .write_bool(o.auto_reduction)
-        .write_bool(o.validate);
+        // Directive validation always runs; the constant keeps every
+        // translation key equal to the one earlier stores were filed under.
+        .write_bool(true);
     h.write_u64(o.ignored_update_stmts.len() as u64);
     for id in &o.ignored_update_stmts {
         h.write_u64(*id as u64);
@@ -206,24 +208,7 @@ fn fp_verify_options(h: &mut Fnv, v: &VerifyOptions) {
     h.write_u64(match v.placement {
         crate::exec::dag::Placement::RoundRobin => 0,
         crate::exec::dag::Placement::Eft => 1,
-        crate::exec::dag::Placement::Measured => 2,
     });
-    match &v.measured {
-        None => {
-            h.write_bool(false);
-        }
-        Some(m) => {
-            h.write_bool(true);
-            h.write_u64(m.kernel_us.len() as u64);
-            for (k, us) in &m.kernel_us {
-                h.write_str(k).write_f64(*us);
-            }
-            h.write_u64(m.stage_us.len() as u64);
-            for (k, us) in &m.stage_us {
-                h.write_str(k).write_f64(*us);
-            }
-        }
-    }
 }
 
 fn fp_exec_options(o: &ExecOptions) -> u64 {
@@ -531,15 +516,6 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<VerifyError> for PipelineError {
-    fn from(e: VerifyError) -> PipelineError {
-        match e {
-            VerifyError::Translate(ds) => PipelineError::Translate(ds),
-            VerifyError::Run(e) => PipelineError::Run(e),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Session
@@ -968,48 +944,8 @@ impl Session {
         tr: &TranslatedArtifact,
         eopts: &ExecOptions,
     ) -> Result<Arc<RunResult>, PipelineError> {
-        if let ExecMode::Verify(v) = &eopts.mode {
-            if v.placement == crate::exec::dag::Placement::Measured && v.measured.is_none() {
-                return self.execute_measured(tr, eopts);
-            }
-        }
         let plan = self.plan(tr, eopts);
         self.execute_plan(tr, eopts, &plan)
-    }
-
-    /// The `placement=measured` two-pass flow: run once under round-robin
-    /// with a capture journal (pass 1, a normal cached Execute, so a warm
-    /// session replays it instead of re-running), calibrate per-site
-    /// costs from the observed kernel and staging spans, then run again
-    /// with the calibrated costs driving EFT placement. The second pass
-    /// carries the calibration in its fingerprint, so both passes cache
-    /// independently and deterministically.
-    fn execute_measured(
-        &self,
-        tr: &TranslatedArtifact,
-        eopts: &ExecOptions,
-    ) -> Result<Arc<RunResult>, PipelineError> {
-        let ExecMode::Verify(v) = &eopts.mode else {
-            unreachable!("execute_measured requires verify mode");
-        };
-        let capture = Journal::enabled();
-        let mut probe = v.clone();
-        probe.placement = crate::exec::dag::Placement::RoundRobin;
-        let probe_opts = ExecOptions {
-            mode: ExecMode::Verify(probe),
-            journal: capture.clone(),
-            ..eopts.clone()
-        };
-        self.execute(tr, &probe_opts)?;
-        let measured = crate::exec::dag::cost::MeasuredCosts::from_journal(&capture.drain());
-        let mut placed = v.clone();
-        placed.measured = Some(measured);
-        let placed_opts = ExecOptions {
-            mode: ExecMode::Verify(placed),
-            ..eopts.clone()
-        };
-        let plan = self.plan(tr, &placed_opts);
-        self.execute_plan(tr, &placed_opts, &plan)
     }
 
     /// Execute stage against an already-materialized plan (avoids metering
@@ -1085,7 +1021,22 @@ impl Session {
 
     /// Verify stage: §III-A report (CPU baseline + verification run), both
     /// legs routed through the Execute stage so they cache independently.
-    /// Mirrors [`crate::verify::verify_kernels`].
+    /// Returns the translation with per-kernel verdicts and the Figure-3
+    /// time breakdown.
+    ///
+    /// ```
+    /// use openarc_core::exec::VerifyOptions;
+    /// use openarc_core::pipeline::Session;
+    /// use openarc_core::translate::TranslateOptions;
+    /// let src = "double a[16];\nvoid main() {\n int j;\n #pragma acc kernels loop gang\n for (j = 0; j < 16; j++) { a[j] = (double) j; }\n}";
+    /// let session = Session::default();
+    /// let fe = session.frontend(src).unwrap();
+    /// let (_, report) = session
+    ///     .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+    ///     .unwrap();
+    /// assert!(report.flagged().is_empty());
+    /// assert_eq!(report.kernels[0].launches, 1);
+    /// ```
     pub fn verify(
         &self,
         fe: &FrontendArtifact,

@@ -31,7 +31,7 @@ pub use ast::{
     Ty, VarDecl,
 };
 pub use fingerprint::fingerprint_program;
-pub use parser::{parse, parse_expression};
+pub use parser::{parse, parse_expression, MAX_DEPTH};
 pub use pretty::print_program;
 pub use sema::{check, Sema};
 pub use span::{Diagnostic, Severity, Span};

@@ -4,33 +4,37 @@
 //! statement that follows them, except *standalone* OpenACC executable
 //! directives (`update`, `wait`, `declare`, `cache`), which become their own
 //! empty statements so the runtime can execute them in place.
+//!
+//! Every pass after the parser recurses over the AST, so the parser bounds
+//! its depth: no returned tree nests deeper than [`MAX_DEPTH`]. A statement,
+//! a parenthesized group and each unary, cast, binary, ternary, call and
+//! index node add one level; literals and variables add none. A deeper
+//! input is a [`Diagnostic`] at the construct that crosses the bound, found
+//! before the parser's own recursion can exhaust the stack.
 
 use crate::ast::*;
 use crate::lexer::lex;
 use crate::span::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
 
+/// Deepest AST the parser returns (see the module doc for what counts as
+/// a level). Every later pass recurses once per level; the heaviest, the
+/// translator lowering nested host statements, takes up to ~14 KiB of
+/// stack per level in an unoptimized build (~2 KiB optimized), so this
+/// bound keeps a whole request inside a 2 MiB thread stack with room to
+/// spare. The deepest benchmark program nests 13 levels.
+pub const MAX_DEPTH: u16 = 64;
+
 /// Parse a full MiniC translation unit.
 pub fn parse(src: &str) -> Result<Program, Diagnostic> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        next_id: 0,
-    };
-    p.program()
+    Parser::new(lex(src)?).program()
 }
 
 /// Parse a standalone expression (used for directive `if(...)` conditions).
 /// Node ids restart from 0; callers embedding the result into an existing
 /// program must not rely on id uniqueness.
 pub fn parse_expression(src: &str) -> Result<Expr, Diagnostic> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        next_id: 0,
-    };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     if !matches!(p.peek(), TokenKind::Eof) {
         return Err(Diagnostic::error(
@@ -66,13 +70,152 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: NodeId,
+    /// Depth of the subtree under each node id issued so far.
+    depths: Vec<u16>,
+    /// Levels entered and not yet left by the recursive descent.
+    nesting: u16,
+}
+
+fn too_deep(sp: Span) -> Diagnostic {
+    Diagnostic::error(format!("program nests deeper than {MAX_DEPTH} levels"), sp)
 }
 
 impl Parser {
-    fn fresh(&mut self) -> NodeId {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            next_id: 0,
+            depths: Vec::new(),
+            nesting: 0,
+        }
+    }
+
+    /// Issue the id of a node whose subtree is `depth` levels deep.
+    fn fresh(&mut self, depth: u16, sp: Span) -> Result<NodeId, Diagnostic> {
+        if depth > MAX_DEPTH {
+            return Err(too_deep(sp));
+        }
         let id = self.next_id;
         self.next_id += 1;
-        id
+        self.depths.push(depth);
+        Ok(id)
+    }
+
+    fn depth(&self, id: NodeId) -> u16 {
+        self.depths[id as usize]
+    }
+
+    fn deepest<'a>(&self, exprs: impl IntoIterator<Item = &'a Expr>) -> u16 {
+        exprs
+            .into_iter()
+            .map(|e| self.depth(e.id))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn block_depth(&self, b: &Block) -> u16 {
+        b.stmts.iter().map(|s| self.depth(s.id)).max().unwrap_or(0)
+    }
+
+    /// Count one level that has no node of its own (a parenthesized group,
+    /// unary `+`) against the expression it wraps.
+    fn wrap(&mut self, e: Expr) -> Result<Expr, Diagnostic> {
+        let d = &mut self.depths[e.id as usize];
+        if *d >= MAX_DEPTH {
+            return Err(too_deep(e.span));
+        }
+        *d += 1;
+        Ok(e)
+    }
+
+    /// Run `f` one level deeper, refusing before the descent can outgrow
+    /// [`MAX_DEPTH`]: every level entered here adds one to the depth of
+    /// the tree being built, so nothing refused here would pass [`fresh`].
+    ///
+    /// [`fresh`]: Parser::fresh
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, Diagnostic>,
+    ) -> Result<T, Diagnostic> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(too_deep(self.span()));
+        }
+        self.nesting += 1;
+        let out = f(self);
+        self.nesting -= 1;
+        out
+    }
+
+    fn expr_node(&mut self, span: Span, kind: ExprKind) -> Result<Expr, Diagnostic> {
+        let depth = match &kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(..)
+            | ExprKind::Var(_)
+            | ExprKind::SizeOf(_) => 0,
+            ExprKind::Index { indices: es, .. } | ExprKind::Call { args: es, .. } => {
+                1 + self.deepest(es)
+            }
+            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => 1 + self.depth(expr.id),
+            ExprKind::Binary { lhs, rhs, .. } => 1 + self.deepest([&**lhs, &**rhs]),
+            ExprKind::Ternary {
+                cond,
+                then_e,
+                else_e,
+            } => 1 + self.deepest([&**cond, &**then_e, &**else_e]),
+        };
+        Ok(Expr {
+            id: self.fresh(depth, span)?,
+            span,
+            kind,
+        })
+    }
+
+    /// A statement node spanning from `sp` to the last token consumed.
+    fn stmt_node(&mut self, sp: Span, kind: StmtKind) -> Result<Stmt, Diagnostic> {
+        let below = match &kind {
+            StmtKind::Decl(d) => self.depth(d.id),
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.depth(e.id),
+            StmtKind::Assign { target, value, .. } => {
+                let target = match target {
+                    LValue::Var(_) => 0,
+                    LValue::Index { indices, .. } => 1 + self.deepest(indices),
+                };
+                target.max(self.depth(value.id))
+            }
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                let els = else_blk.as_ref().map_or(0, |b| self.block_depth(b));
+                self.depth(cond.id).max(self.block_depth(then_blk)).max(els)
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => [
+                init.as_ref().map(|s| s.id),
+                cond.as_ref().map(|e| e.id),
+                step.as_ref().map(|s| s.id),
+            ]
+            .into_iter()
+            .flatten()
+            .map(|id| self.depth(id))
+            .fold(self.block_depth(body), u16::max),
+            StmtKind::While { cond, body } => self.depth(cond.id).max(self.block_depth(body)),
+            StmtKind::Block(b) => self.block_depth(b),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => 0,
+        };
+        let span = sp.to(self.prev_span());
+        Ok(Stmt {
+            id: self.fresh(below + 1, span)?,
+            span,
+            pragmas: Vec::new(),
+            kind,
+        })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -250,12 +393,13 @@ impl Parser {
         if init.is_some() && ty.is_aggregate() && !matches!(ty, Ty::Ptr(_)) {
             return Err(Diagnostic::error("array initializers are unsupported", sp));
         }
+        let span = sp.to(self.prev_span());
         Ok(VarDecl {
-            id: self.fresh(),
+            id: self.fresh(self.deepest(&init), span)?,
             name,
             ty,
             init,
-            span: sp.to(self.prev_span()),
+            span,
         })
     }
 
@@ -301,13 +445,14 @@ impl Parser {
             }
         }
         let body = self.block()?;
+        let span = sp.to(self.prev_span());
         Ok(Func {
-            id: self.fresh(),
+            id: self.fresh(self.block_depth(&body), span)?,
             name,
             ret,
             params,
             body,
-            span: sp.to(self.prev_span()),
+            span,
         })
     }
 
@@ -331,15 +476,42 @@ impl Parser {
     /// Parse one statement (possibly expanding multi-declarators into
     /// several [`Stmt`]s) into `out`.
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> Result<(), Diagnostic> {
-        // Gather leading pragmas.
+        self.nested(|p| {
+            let pragmas = p.leading_pragmas(out)?;
+            if pragmas.is_empty() && matches!(p.peek(), TokenKind::RBrace | TokenKind::Eof) {
+                return Ok(());
+            }
+            let first = out.len();
+            if p.peek_is_type() {
+                p.decl_stmts(out)?;
+            } else {
+                let stmt = p.stmt()?;
+                out.push(stmt);
+            }
+            match out.get_mut(first) {
+                Some(stmt) => stmt.pragmas = pragmas,
+                None if !pragmas.is_empty() => {
+                    return Err(Diagnostic::error(
+                        "pragma not followed by a statement",
+                        p.span(),
+                    ))
+                }
+                None => {}
+            }
+            Ok(())
+        })
+    }
+
+    /// Gather the pragmas leading a statement. Standalone executable
+    /// directives become their own empty statements in `out`.
+    fn leading_pragmas(&mut self, out: &mut Vec<Stmt>) -> Result<Vec<Pragma>, Diagnostic> {
         let mut pragmas = Vec::new();
         while let TokenKind::Pragma(text) = self.peek().clone() {
             let sp = self.span();
             self.bump();
             if is_standalone_pragma(&text) {
-                // Standalone executable directive: its own empty statement.
                 out.push(Stmt {
-                    id: self.fresh(),
+                    id: self.fresh(1, sp)?,
                     span: sp,
                     pragmas: vec![Pragma { text, span: sp }],
                     kind: StmtKind::Block(Block::default()),
@@ -348,53 +520,48 @@ impl Parser {
                 pragmas.push(Pragma { text, span: sp });
             }
         }
-        if !pragmas.is_empty() || !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
-            let mut stmts = self.stmt_multi()?;
-            if let Some(first) = stmts.first_mut() {
-                first.pragmas = pragmas;
-            } else if !pragmas.is_empty() {
-                return Err(Diagnostic::error(
-                    "pragma not followed by a statement",
-                    self.span(),
-                ));
+        Ok(pragmas)
+    }
+
+    /// A declaration: one statement per declarator.
+    fn decl_stmts(&mut self, out: &mut Vec<Stmt>) -> Result<(), Diagnostic> {
+        let (base, tsp) = self.base_type()?;
+        loop {
+            let is_ptr = self.eat(&TokenKind::Star);
+            let (name, _) = self.expect_ident()?;
+            let decl = self.finish_var_decl(base, is_ptr, name, tsp)?;
+            out.push(self.stmt_node(tsp, StmtKind::Decl(decl))?);
+            if !self.eat(&TokenKind::Comma) {
+                break;
             }
-            out.append(&mut stmts);
         }
+        self.expect(TokenKind::Semi)?;
         Ok(())
     }
 
-    /// Parse one syntactic statement; declarations with several declarators
-    /// expand into several statements.
-    fn stmt_multi(&mut self) -> Result<Vec<Stmt>, Diagnostic> {
-        let sp = self.span();
-        if self.peek_is_type() {
-            let (base, tsp) = self.base_type()?;
-            let mut stmts = Vec::new();
-            loop {
-                let is_ptr = self.eat(&TokenKind::Star);
-                let (name, _) = self.expect_ident()?;
-                let decl = self.finish_var_decl(base, is_ptr, name, tsp)?;
-                stmts.push(Stmt {
-                    id: self.fresh(),
-                    span: tsp.to(self.prev_span()),
-                    pragmas: Vec::new(),
-                    kind: StmtKind::Decl(decl),
-                });
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect(TokenKind::Semi)?;
-            return Ok(stmts);
+    /// One non-declaration statement. The statements that nest others go
+    /// through small frames of their own, keeping the stack cost of each
+    /// nesting level low.
+    fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        match self.peek() {
+            TokenKind::LBrace => self.block_stmt(),
+            TokenKind::KwIf => self.if_stmt(),
+            TokenKind::KwFor => self.for_stmt(),
+            TokenKind::KwWhile => self.while_stmt(),
+            _ => self.leaf_stmt(),
         }
-        let stmt = match self.peek().clone() {
-            TokenKind::LBrace => {
-                let b = self.block()?;
-                self.mk_stmt(sp, StmtKind::Block(b))
-            }
-            TokenKind::KwIf => self.if_stmt()?,
-            TokenKind::KwFor => self.for_stmt()?,
-            TokenKind::KwWhile => self.while_stmt()?,
+    }
+
+    fn block_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        let sp = self.span();
+        let b = self.block()?;
+        self.stmt_node(sp, StmtKind::Block(b))
+    }
+
+    /// `return`, `break`, `continue`, `;` or a simple statement.
+    fn leaf_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        let sp = self.span();
+        match self.peek() {
             TokenKind::KwReturn => {
                 self.bump();
                 let e = if self.peek() == &TokenKind::Semi {
@@ -403,70 +570,63 @@ impl Parser {
                     Some(self.expr()?)
                 };
                 self.expect(TokenKind::Semi)?;
-                self.mk_stmt(sp, StmtKind::Return(e))
+                self.stmt_node(sp, StmtKind::Return(e))
             }
             TokenKind::KwBreak => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                self.mk_stmt(sp, StmtKind::Break)
+                self.stmt_node(sp, StmtKind::Break)
             }
             TokenKind::KwContinue => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                self.mk_stmt(sp, StmtKind::Continue)
+                self.stmt_node(sp, StmtKind::Continue)
             }
             TokenKind::Semi => {
                 self.bump();
-                self.mk_stmt(sp, StmtKind::Block(Block::default()))
+                self.stmt_node(sp, StmtKind::Block(Block::default()))
             }
             _ => {
                 let s = self.simple_stmt()?;
                 self.expect(TokenKind::Semi)?;
-                s
+                Ok(s)
             }
-        };
-        Ok(vec![stmt])
+        }
     }
 
-    fn mk_stmt(&mut self, sp: Span, kind: StmtKind) -> Stmt {
-        Stmt {
-            id: self.fresh(),
-            span: sp.to(self.prev_span()),
-            pragmas: Vec::new(),
-            kind,
-        }
+    /// `(cond)` of an `if` or `while`, after the keyword.
+    fn paren_cond(&mut self) -> Result<Expr, Diagnostic> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(cond)
     }
 
     fn if_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let sp = self.span();
-        self.expect(TokenKind::KwIf)?;
-        self.expect(TokenKind::LParen)?;
-        let cond = self.expr()?;
-        self.expect(TokenKind::RParen)?;
+        let cond = self.paren_cond()?;
         let then_blk = self.stmt_as_block()?;
         let else_blk = if self.eat(&TokenKind::KwElse) {
             Some(self.stmt_as_block()?)
         } else {
             None
         };
-        Ok(self.mk_stmt(
+        self.stmt_node(
             sp,
             StmtKind::If {
                 cond,
                 then_blk,
                 else_blk,
             },
-        ))
+        )
     }
 
     fn while_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let sp = self.span();
-        self.expect(TokenKind::KwWhile)?;
-        self.expect(TokenKind::LParen)?;
-        let cond = self.expr()?;
-        self.expect(TokenKind::RParen)?;
+        let cond = self.paren_cond()?;
         let body = self.stmt_as_block()?;
-        Ok(self.mk_stmt(sp, StmtKind::While { cond, body }))
+        self.stmt_node(sp, StmtKind::While { cond, body })
     }
 
     fn for_stmt(&mut self) -> Result<Stmt, Diagnostic> {
@@ -481,12 +641,7 @@ impl Parser {
             let is_ptr = self.eat(&TokenKind::Star);
             let (name, _) = self.expect_ident()?;
             let decl = self.finish_var_decl(base, is_ptr, name, tsp)?;
-            Some(Box::new(Stmt {
-                id: self.fresh(),
-                span: tsp.to(self.prev_span()),
-                pragmas: Vec::new(),
-                kind: StmtKind::Decl(decl),
-            }))
+            Some(Box::new(self.stmt_node(tsp, StmtKind::Decl(decl))?))
         } else {
             Some(Box::new(self.simple_stmt()?))
         };
@@ -504,7 +659,7 @@ impl Parser {
         };
         self.expect(TokenKind::RParen)?;
         let body = self.stmt_as_block()?;
-        Ok(self.mk_stmt(
+        self.stmt_node(
             sp,
             StmtKind::For {
                 init,
@@ -512,7 +667,7 @@ impl Parser {
                 step,
                 body,
             },
-        ))
+        )
     }
 
     /// Parse a statement and wrap single statements into a one-entry block.
@@ -538,15 +693,15 @@ impl Parser {
                 AssignOp::Sub
             };
             let lv = self.lvalue()?;
-            let one = self.int_one(sp);
-            return Ok(self.mk_stmt(
+            let one = self.int_one(sp)?;
+            return self.stmt_node(
                 sp,
                 StmtKind::Assign {
                     target: lv,
                     op,
                     value: one,
                 },
-            ));
+            );
         }
         let e = self.expr()?;
         match self.peek().clone() {
@@ -567,7 +722,7 @@ impl Parser {
                     Diagnostic::error("left side of assignment is not assignable", e.span)
                 })?;
                 let value = self.expr()?;
-                Ok(self.mk_stmt(sp, StmtKind::Assign { target, op, value }))
+                self.stmt_node(sp, StmtKind::Assign { target, op, value })
             }
             TokenKind::PlusPlus | TokenKind::MinusMinus => {
                 let op = if self.bump().kind == TokenKind::PlusPlus {
@@ -578,26 +733,22 @@ impl Parser {
                 let target = expr_to_lvalue(&e).ok_or_else(|| {
                     Diagnostic::error("operand of ++/-- is not assignable", e.span)
                 })?;
-                let one = self.int_one(sp);
-                Ok(self.mk_stmt(
+                let one = self.int_one(sp)?;
+                self.stmt_node(
                     sp,
                     StmtKind::Assign {
                         target,
                         op,
                         value: one,
                     },
-                ))
+                )
             }
-            _ => Ok(self.mk_stmt(sp, StmtKind::Expr(e))),
+            _ => self.stmt_node(sp, StmtKind::Expr(e)),
         }
     }
 
-    fn int_one(&mut self, sp: Span) -> Expr {
-        Expr {
-            id: self.fresh(),
-            span: sp,
-            kind: ExprKind::IntLit(1),
-        }
+    fn int_one(&mut self, sp: Span) -> Result<Expr, Diagnostic> {
+        self.expr_node(sp, ExprKind::IntLit(1))
     }
 
     fn lvalue(&mut self) -> Result<LValue, Diagnostic> {
@@ -614,64 +765,49 @@ impl Parser {
 
     fn ternary(&mut self) -> Result<Expr, Diagnostic> {
         let cond = self.binary(0)?;
-        if self.eat(&TokenKind::Question) {
-            let then_e = self.expr()?;
-            self.expect(TokenKind::Colon)?;
-            let else_e = self.ternary()?;
-            let span = cond.span.to(else_e.span);
-            Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Ternary {
-                    cond: Box::new(cond),
-                    then_e: Box::new(then_e),
-                    else_e: Box::new(else_e),
-                },
-            })
+        if self.peek() == &TokenKind::Question {
+            self.ternary_branches(cond)
         } else {
             Ok(cond)
         }
     }
 
+    fn ternary_branches(&mut self, cond: Expr) -> Result<Expr, Diagnostic> {
+        let (then_e, else_e) = self.nested(|p| {
+            p.bump();
+            let then_e = p.expr()?;
+            p.expect(TokenKind::Colon)?;
+            Ok((then_e, p.ternary()?))
+        })?;
+        self.expr_node(
+            cond.span.to(else_e.span),
+            ExprKind::Ternary {
+                cond: Box::new(cond),
+                then_e: Box::new(then_e),
+                else_e: Box::new(else_e),
+            },
+        )
+    }
+
     fn binary(&mut self, min_prec: u8) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.unary()?;
-        loop {
-            let (op, prec) = match self.peek() {
-                TokenKind::PipePipe => (BinOp::Or, 1),
-                TokenKind::AmpAmp => (BinOp::And, 2),
-                TokenKind::Pipe => (BinOp::BitOr, 3),
-                TokenKind::Caret => (BinOp::BitXor, 4),
-                TokenKind::Amp => (BinOp::BitAnd, 5),
-                TokenKind::Eq => (BinOp::Eq, 6),
-                TokenKind::Ne => (BinOp::Ne, 6),
-                TokenKind::Lt => (BinOp::Lt, 7),
-                TokenKind::Gt => (BinOp::Gt, 7),
-                TokenKind::Le => (BinOp::Le, 7),
-                TokenKind::Ge => (BinOp::Ge, 7),
-                TokenKind::Shl => (BinOp::Shl, 8),
-                TokenKind::Shr => (BinOp::Shr, 8),
-                TokenKind::Plus => (BinOp::Add, 9),
-                TokenKind::Minus => (BinOp::Sub, 9),
-                TokenKind::Star => (BinOp::Mul, 10),
-                TokenKind::Slash => (BinOp::Div, 10),
-                TokenKind::Percent => (BinOp::Rem, 10),
-                _ => break,
-            };
-            if prec < min_prec {
-                break;
-            }
+        let lhs = self.unary()?;
+        self.binary_chain(lhs, min_prec)
+    }
+
+    /// Fold the operators binding at least `min_prec` onto `lhs`
+    /// (left-associative).
+    fn binary_chain(&mut self, mut lhs: Expr, min_prec: u8) -> Result<Expr, Diagnostic> {
+        while let Some((op, prec)) = binop(self.peek()).filter(|&(_, prec)| prec >= min_prec) {
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Binary {
+            lhs = self.expr_node(
+                lhs.span.to(rhs.span),
+                ExprKind::Binary {
                     op,
                     lhs: Box::new(lhs),
                     rhs: Box::new(rhs),
                 },
-            };
+            )?;
         }
         Ok(lhs)
     }
@@ -682,121 +818,126 @@ impl Parser {
             TokenKind::Minus => Some(UnOp::Neg),
             TokenKind::Bang => Some(UnOp::Not),
             TokenKind::Tilde => Some(UnOp::BitNot),
-            TokenKind::Plus => {
-                self.bump();
-                return self.unary();
-            }
-            _ => None,
+            TokenKind::Plus => None,
+            _ => return self.postfix_expr(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let e = self.unary()?;
-            let span = sp.to(e.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Unary {
+        let e = self.nested(|p| {
+            p.bump();
+            p.unary()
+        })?;
+        match op {
+            Some(op) => self.expr_node(
+                sp.to(e.span),
+                ExprKind::Unary {
                     op,
                     expr: Box::new(e),
                 },
-            });
+            ),
+            None => self.wrap(e),
         }
-        self.postfix_expr()
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, Diagnostic> {
+        match self.peek() {
+            TokenKind::LParen if self.peek_at(1).type_keyword().is_some() => self.cast_expr(),
+            TokenKind::LParen => self.paren_expr(),
+            TokenKind::KwSizeof => self.sizeof_expr(),
+            _ => self.primary_expr(),
+        }
+    }
+
+    fn cast_expr(&mut self) -> Result<Expr, Diagnostic> {
         let sp = self.span();
-        // Cast or parenthesized expression.
-        if self.peek() == &TokenKind::LParen {
-            if self.peek_at(1).type_keyword().is_some() {
-                self.bump();
-                let (base, tsp) = self.base_type()?;
-                let is_ptr = self.eat(&TokenKind::Star);
-                self.expect(TokenKind::RParen)?;
-                let base = base.ok_or_else(|| Diagnostic::error("cannot cast to void", tsp))?;
-                let ty = if is_ptr {
-                    Ty::Ptr(base)
-                } else {
-                    Ty::Scalar(base)
-                };
-                let inner = self.unary()?;
-                let span = sp.to(inner.span);
-                return Ok(Expr {
-                    id: self.fresh(),
-                    span,
-                    kind: ExprKind::Cast {
-                        ty,
-                        expr: Box::new(inner),
-                    },
-                });
-            }
-            self.bump();
-            let e = self.expr()?;
-            self.expect(TokenKind::RParen)?;
-            return self.maybe_index(e);
-        }
-        if self.peek() == &TokenKind::KwSizeof {
-            self.bump();
-            self.expect(TokenKind::LParen)?;
-            let (base, tsp) = self.base_type()?;
-            let base = base.ok_or_else(|| Diagnostic::error("sizeof(void) is invalid", tsp))?;
-            self.expect(TokenKind::RParen)?;
-            return Ok(Expr {
-                id: self.fresh(),
-                span: sp.to(self.prev_span()),
-                kind: ExprKind::SizeOf(base),
-            });
-        }
-        match self.peek().clone() {
+        let (ty, inner) = self.nested(|p| {
+            p.bump();
+            let (base, tsp) = p.base_type()?;
+            let is_ptr = p.eat(&TokenKind::Star);
+            p.expect(TokenKind::RParen)?;
+            let base = base.ok_or_else(|| Diagnostic::error("cannot cast to void", tsp))?;
+            let ty = if is_ptr {
+                Ty::Ptr(base)
+            } else {
+                Ty::Scalar(base)
+            };
+            Ok((ty, p.unary()?))
+        })?;
+        self.expr_node(
+            sp.to(inner.span),
+            ExprKind::Cast {
+                ty,
+                expr: Box::new(inner),
+            },
+        )
+    }
+
+    fn paren_expr(&mut self) -> Result<Expr, Diagnostic> {
+        let e = self.nested(|p| {
+            p.bump();
+            let e = p.expr()?;
+            p.expect(TokenKind::RParen)?;
+            Ok(e)
+        })?;
+        let e = self.wrap(e)?;
+        self.maybe_index(e)
+    }
+
+    fn sizeof_expr(&mut self) -> Result<Expr, Diagnostic> {
+        let sp = self.span();
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let (base, tsp) = self.base_type()?;
+        let base = base.ok_or_else(|| Diagnostic::error("sizeof(void) is invalid", tsp))?;
+        self.expect(TokenKind::RParen)?;
+        self.expr_node(sp.to(self.prev_span()), ExprKind::SizeOf(base))
+    }
+
+    /// A literal, a variable or a call, with any trailing indices.
+    fn primary_expr(&mut self) -> Result<Expr, Diagnostic> {
+        let sp = self.span();
+        let e = match self.peek().clone() {
             TokenKind::IntLit(v) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::IntLit(v),
-                })
+                return self.expr_node(sp, ExprKind::IntLit(v));
             }
             TokenKind::FloatLit(v, suf) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::FloatLit(v, suf),
-                })
+                return self.expr_node(sp, ExprKind::FloatLit(v, suf));
             }
             TokenKind::Ident(name) => {
                 self.bump();
                 if self.peek() == &TokenKind::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(TokenKind::RParen)?;
-                    }
-                    let e = Expr {
-                        id: self.fresh(),
-                        span: sp.to(self.prev_span()),
-                        kind: ExprKind::Call { name, args },
-                    };
-                    return self.maybe_index(e);
+                    let args = self.call_args()?;
+                    self.expr_node(sp.to(self.prev_span()), ExprKind::Call { name, args })?
+                } else {
+                    self.expr_node(sp, ExprKind::Var(name))?
                 }
-                let e = Expr {
-                    id: self.fresh(),
-                    span: sp,
-                    kind: ExprKind::Var(name),
-                };
-                self.maybe_index(e)
             }
-            other => Err(Diagnostic::error(
-                format!("expected expression, found `{other}`"),
-                sp,
-            )),
-        }
+            other => {
+                return Err(Diagnostic::error(
+                    format!("expected expression, found `{other}`"),
+                    sp,
+                ))
+            }
+        };
+        self.maybe_index(e)
+    }
+
+    /// `(a, b, ...)` after a callee name.
+    fn call_args(&mut self) -> Result<Vec<Expr>, Diagnostic> {
+        self.nested(|p| {
+            p.bump();
+            let mut args = Vec::new();
+            if !p.eat(&TokenKind::RParen) {
+                loop {
+                    args.push(p.expr()?);
+                    if !p.eat(&TokenKind::Comma) {
+                        break;
+                    }
+                }
+                p.expect(TokenKind::RParen)?;
+            }
+            Ok(args)
+        })
     }
 
     /// Parse trailing `[i][j]...` indices onto `e` when `e` is a variable.
@@ -813,18 +954,44 @@ impl Parser {
                 ))
             }
         };
-        let mut indices = Vec::new();
-        while self.eat(&TokenKind::LBracket) {
-            indices.push(self.expr()?);
-            self.expect(TokenKind::RBracket)?;
-        }
-        let span = e.span.to(self.prev_span());
-        Ok(Expr {
-            id: self.fresh(),
-            span,
-            kind: ExprKind::Index { base, indices },
-        })
+        let indices = self.nested(|p| {
+            let mut indices = Vec::new();
+            while p.eat(&TokenKind::LBracket) {
+                indices.push(p.expr()?);
+                p.expect(TokenKind::RBracket)?;
+            }
+            Ok(indices)
+        })?;
+        self.expr_node(
+            e.span.to(self.prev_span()),
+            ExprKind::Index { base, indices },
+        )
     }
+}
+
+/// A binary operator token and its precedence (higher binds tighter).
+fn binop(t: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match t {
+        TokenKind::PipePipe => (BinOp::Or, 1),
+        TokenKind::AmpAmp => (BinOp::And, 2),
+        TokenKind::Pipe => (BinOp::BitOr, 3),
+        TokenKind::Caret => (BinOp::BitXor, 4),
+        TokenKind::Amp => (BinOp::BitAnd, 5),
+        TokenKind::Eq => (BinOp::Eq, 6),
+        TokenKind::Ne => (BinOp::Ne, 6),
+        TokenKind::Lt => (BinOp::Lt, 7),
+        TokenKind::Gt => (BinOp::Gt, 7),
+        TokenKind::Le => (BinOp::Le, 7),
+        TokenKind::Ge => (BinOp::Ge, 7),
+        TokenKind::Shl => (BinOp::Shl, 8),
+        TokenKind::Shr => (BinOp::Shr, 8),
+        TokenKind::Plus => (BinOp::Add, 9),
+        TokenKind::Minus => (BinOp::Sub, 9),
+        TokenKind::Star => (BinOp::Mul, 10),
+        TokenKind::Slash => (BinOp::Div, 10),
+        TokenKind::Percent => (BinOp::Rem, 10),
+        _ => return None,
+    })
 }
 
 /// Convert an expression to an assignable lvalue, if it is one.
@@ -1044,5 +1211,80 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), ids.len());
+    }
+
+    /// `shape(n)` nests `n` levels deep: exactly [`MAX_DEPTH`] parses, one
+    /// more is a depth diagnostic (not a stack overflow).
+    fn assert_depth_bound<T: std::fmt::Debug>(
+        what: &str,
+        parse: impl Fn(&str) -> Result<T, Diagnostic>,
+        shape: impl Fn(usize) -> String,
+    ) {
+        let max = MAX_DEPTH as usize;
+        if let Err(e) = parse(&shape(max)) {
+            panic!("{what}: depth {max} rejected: {e}");
+        }
+        let err = parse(&shape(max + 1)).expect_err(what);
+        assert!(err.message.contains("nests deeper"), "{what}: {err}");
+    }
+
+    fn in_main(body: String) -> String {
+        format!("int c;\ndouble a[4];\nvoid main() {{\n{body}\n}}")
+    }
+
+    #[test]
+    fn depth_bound_on_expressions() {
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape); 7] = [
+            ("parens", |n| format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+            ("unary", |n| format!("{}1", "- ".repeat(n))),
+            ("casts", |n| format!("{}1", "(double) ".repeat(n))),
+            ("binary chain", |n| format!("1{}", " + 1".repeat(n))),
+            ("ternary chain", |n| format!("{}1", "1 ? 1 : ".repeat(n))),
+            ("calls", |n| format!("{}1{}", "f(".repeat(n), ")".repeat(n))),
+            ("indexing", |n| {
+                format!("{}0{}", "a[".repeat(n), "]".repeat(n))
+            }),
+        ];
+        for (what, shape) in shapes {
+            assert_depth_bound(what, parse_expression, shape);
+        }
+    }
+
+    #[test]
+    fn depth_bound_on_statements() {
+        // The statement itself is one level: `c = e;` is one deeper than `e`.
+        assert_depth_bound("assigned sum", parse, |n| {
+            in_main(format!("c = 1{};", " + 1".repeat(n - 1)))
+        });
+        assert_depth_bound("blocks", parse, |n| {
+            in_main(format!("{};{}", "{".repeat(n - 1), "}".repeat(n - 1)))
+        });
+        assert_depth_bound("unbraced ifs", parse, |n| {
+            in_main(format!("{};", "if (c) ".repeat(n - 1)))
+        });
+        assert_depth_bound("else-if chain", parse, |n| {
+            in_main(format!("{};", "if (c) ; else ".repeat(n - 1)))
+        });
+        assert_depth_bound("loop bodies", parse, |n| {
+            in_main(format!("{};", "while (c) ".repeat(n - 1)))
+        });
+        assert_depth_bound("global initializer", parse, |n| {
+            format!("double g = {}1;", "- ".repeat(n))
+        });
+    }
+
+    #[test]
+    fn far_too_deep_inputs_are_diagnostics() {
+        let n = 100_000;
+        for src in [
+            in_main(format!("c = {}1{};", "(".repeat(n), ")".repeat(n))),
+            in_main(format!("{};", "if (c) ".repeat(n))),
+            in_main(format!("c = 1{};", " + 1".repeat(n))),
+            in_main(format!("c = {}1;", "+ ".repeat(n))),
+        ] {
+            let err = parse(&src).expect_err("too deep");
+            assert!(err.message.contains("nests deeper"), "{err}");
+        }
     }
 }

@@ -177,15 +177,16 @@ mod tests {
     fn outputs_are_sigmoid_range() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let out = r.global_array(&tr, "out_units").unwrap();
+        let out = r.global_array(&tr.tr, "out_units").unwrap();
         assert!(out.iter().all(|x| *x > 0.0 && *x < 1.0), "{out:?}");
-        let err = r.global_scalar(&tr, "err").unwrap().as_f64();
+        let err = r.global_scalar(&tr.tr, "err").unwrap().as_f64();
         assert!((0.0..4.0).contains(&err), "{err}");
     }
 }

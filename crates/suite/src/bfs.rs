@@ -129,13 +129,14 @@ mod tests {
     fn costs_match_tree_depth() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let cost = r.global_array(&tr, "cost").unwrap();
+        let cost = r.global_array(&tr.tr, "cost").unwrap();
         assert_eq!(cost[0], 0.0);
         assert_eq!(cost[1], 1.0);
         assert_eq!(cost[2], 1.0);

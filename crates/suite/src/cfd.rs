@@ -136,13 +136,14 @@ mod tests {
     fn diffusion_smooths_but_conserves_sign() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let v = r.global_array(&tr, "vars").unwrap();
+        let v = r.global_array(&tr.tr, "vars").unwrap();
         assert!(v.iter().all(|x| *x > 0.0 && x.is_finite()));
     }
 }

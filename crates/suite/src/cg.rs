@@ -186,13 +186,14 @@ mod tests {
     fn residual_shrinks() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let rho = r.global_scalar(&tr, "rho").unwrap().as_f64();
+        let rho = r.global_scalar(&tr.tr, "rho").unwrap().as_f64();
         let n = Scale::default().n.max(8) as f64;
         // Initial rho = n; CG on a well-conditioned SPD band matrix reduces
         // the residual by orders of magnitude in a few iterations.

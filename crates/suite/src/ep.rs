@@ -101,13 +101,14 @@ mod tests {
     fn acceptance_ratio_plausible() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let cnt = r.global_scalar(&tr, "cnt").unwrap().as_f64();
+        let cnt = r.global_scalar(&tr.tr, "cnt").unwrap().as_f64();
         let n = (Scale::default().n * Scale::default().n / 4).max(16) as f64;
         let pairs = (Scale::default().iters.max(2) * 2) as f64;
         let ratio = cnt / (n * pairs);

@@ -105,13 +105,14 @@ mod tests {
     fn temperatures_remain_physical() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let t = r.global_array(&tr, "temp").unwrap();
+        let t = r.global_array(&tr.tr, "temp").unwrap();
         assert!(t.iter().all(|x| *x > 50.0 && *x < 80.0));
     }
 }

@@ -127,13 +127,14 @@ mod tests {
     fn heat_propagates_from_boundary() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let a = r.global_array(&tr, "a").unwrap();
+        let a = r.global_array(&tr.tr, "a").unwrap();
         let n = Scale::default().n;
         // Row 1 interior must have warmed up; far rows stay near zero.
         assert!(a[n + 5] > 10.0, "row 1: {}", a[n + 5]);
@@ -143,10 +144,16 @@ mod tests {
     #[test]
     fn optimized_transfers_far_fewer_than_naive() {
         let b = benchmark(Scale::default());
-        let (_, naive) =
-            crate::run_variant(&b, Variant::Naive, &Default::default(), &Default::default())
-                .unwrap();
+        let (_, naive) = crate::run_variant(
+            &Default::default(),
+            &b,
+            Variant::Naive,
+            &Default::default(),
+            &Default::default(),
+        )
+        .unwrap();
         let (_, opt) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),

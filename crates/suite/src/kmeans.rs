@@ -153,13 +153,14 @@ mod tests {
     fn clustering_separates_generated_groups() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let mem = r.global_array(&tr, "membership").unwrap();
+        let mem = r.global_array(&tr.tr, "membership").unwrap();
         // Points were generated around KC distinct offsets; the assignment
         // must use more than one cluster.
         let distinct: std::collections::BTreeSet<i64> = mem.iter().map(|m| *m as i64).collect();

@@ -34,10 +34,10 @@ pub mod nw;
 pub mod spmul;
 pub mod srad;
 
-use openarc_core::exec::{execute, ExecMode, ExecOptions, RunResult};
+use openarc_core::exec::{ExecMode, ExecOptions, RunResult};
 use openarc_core::interactive::OutputSpec;
 use openarc_core::pipeline::{Session, TranslatedArtifact};
-use openarc_core::translate::{translate, TranslateOptions, Translated};
+use openarc_core::translate::TranslateOptions;
 use std::sync::Arc;
 
 /// Which directive variant of a benchmark to use.
@@ -149,36 +149,13 @@ pub fn reduced_corpus(scale: Scale) -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// Translate a benchmark variant.
-pub fn translate_variant(
-    b: &Benchmark,
-    v: Variant,
-    topts: &TranslateOptions,
-) -> Result<Translated, String> {
-    let (p, s) = openarc_minic::frontend(b.source(v))
-        .map_err(|e| format!("{} [{}] frontend: {e:?}", b.name, v.name()))?;
-    translate(&p, &s, topts).map_err(|e| format!("{} [{}] translate: {e:?}", b.name, v.name()))
-}
-
-/// Translate and execute a benchmark variant.
-pub fn run_variant(
-    b: &Benchmark,
-    v: Variant,
-    topts: &TranslateOptions,
-    eopts: &ExecOptions,
-) -> Result<(Translated, RunResult), String> {
-    let tr = translate_variant(b, v, topts)?;
-    let r = execute(&tr, eopts).map_err(|e| format!("{} [{}] execute: {e}", b.name, v.name()))?;
-    Ok((tr, r))
-}
-
 /// Translate a benchmark variant through a pipeline [`Session`]: repeats
 /// of the same variant (same source, same options) are served from the
 /// session's artifact cache, so batch drivers that touch a variant more
 /// than once (figure sweeps, validation passes) compile it exactly once.
 /// A session built with a disk cache extends the reuse across processes —
 /// these helpers need no changes to pick the persistent layer up.
-pub fn translate_variant_cached(
+pub fn translate_variant(
     session: &Session,
     b: &Benchmark,
     v: Variant,
@@ -196,14 +173,14 @@ pub fn translate_variant_cached(
 /// [`Session`]. Both the translation and the run are cached; a repeat of a
 /// journaled run replays the recorded event stream into the caller's
 /// journal, so cached and fresh runs are observationally identical.
-pub fn run_variant_cached(
+pub fn run_variant(
     session: &Session,
     b: &Benchmark,
     v: Variant,
     topts: &TranslateOptions,
     eopts: &ExecOptions,
 ) -> Result<(Arc<TranslatedArtifact>, Arc<RunResult>), String> {
-    let tr = translate_variant_cached(session, b, v, topts)?;
+    let tr = translate_variant(session, b, v, topts)?;
     let r = session
         .execute(&tr, eopts)
         .map_err(|e| format!("{} [{}] {e}", b.name, v.name()))?;
@@ -213,19 +190,22 @@ pub fn run_variant_cached(
 /// Verify a variant produces outputs matching its own sequential reference
 /// (used by every benchmark's tests).
 pub fn check_variant(b: &Benchmark, v: Variant) -> Result<(), String> {
+    let session = Session::default();
     let topts = TranslateOptions::default();
-    let (tr, gpu) = run_variant(b, v, &topts, &ExecOptions::default())?;
-    let cpu = execute(
-        &tr,
-        &ExecOptions {
-            mode: ExecMode::CpuOnly,
-            race_detect: false,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("{} [{}] cpu run: {e}", b.name, v.name()))?;
-    let reference = openarc_core::interactive::capture_outputs(&tr, &cpu, &b.outputs);
-    if !openarc_core::interactive::outputs_match(&tr, &gpu, &reference, b.outputs.tol.max(1e-9)) {
+    let (tr, gpu) = run_variant(&session, b, v, &topts, &ExecOptions::default())?;
+    let cpu = session
+        .execute(
+            &tr,
+            &ExecOptions {
+                mode: ExecMode::CpuOnly,
+                race_detect: false,
+                ..Default::default()
+            },
+        )
+        .map_err(|e| format!("{} [{}] cpu run: {e}", b.name, v.name()))?;
+    let reference = openarc_core::interactive::capture_outputs(&tr.tr, &cpu, &b.outputs);
+    if !openarc_core::interactive::outputs_match(&tr.tr, &gpu, &reference, b.outputs.tol.max(1e-9))
+    {
         return Err(format!(
             "{} [{}] outputs diverge from sequential reference",
             b.name,
@@ -266,29 +246,34 @@ mod tests {
         let session = Session::builder().build();
         let b = jacobi::benchmark(Scale::default());
         let topts = TranslateOptions::default();
-        let a = translate_variant_cached(&session, &b, Variant::Optimized, &topts).unwrap();
-        let c = translate_variant_cached(&session, &b, Variant::Optimized, &topts).unwrap();
+        let a = translate_variant(&session, &b, Variant::Optimized, &topts).unwrap();
+        let c = translate_variant(&session, &b, Variant::Optimized, &topts).unwrap();
         assert!(Arc::ptr_eq(&a, &c));
         let st = session.stats();
         assert_eq!(st.get(Stage::Analysis).misses, 1);
         assert_eq!(st.get(Stage::Analysis).hits, 1);
         // A different variant is a different artifact, not a cache hit.
-        translate_variant_cached(&session, &b, Variant::Naive, &topts).unwrap();
+        translate_variant(&session, &b, Variant::Naive, &topts).unwrap();
         assert_eq!(session.stats().get(Stage::Analysis).misses, 2);
     }
 
     #[test]
     fn kernel_counts_match_declared() {
         for b in all(Scale::default()) {
-            let tr = translate_variant(&b, Variant::Optimized, &Default::default())
-                .unwrap_or_else(|e| panic!("{e}"));
+            let tr = translate_variant(
+                &Session::default(),
+                &b,
+                Variant::Optimized,
+                &Default::default(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(
-                tr.kernels.len(),
+                tr.tr.kernels.len(),
                 b.n_kernels,
                 "{}: declared {} kernels, translator found {}",
                 b.name,
                 b.n_kernels,
-                tr.kernels.len()
+                tr.tr.kernels.len()
             );
         }
     }

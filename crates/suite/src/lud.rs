@@ -122,13 +122,14 @@ mod tests {
     fn lu_factors_reconstruct_matrix_shape() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let m = r.global_array(&tr, "m").unwrap();
+        let m = r.global_array(&tr.tr, "m").unwrap();
         let n = (Scale::default().n / 2).max(8);
         // Diagonal of U stays positive and dominant for this matrix.
         for k in 0..n {

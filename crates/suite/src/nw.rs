@@ -111,13 +111,14 @@ mod tests {
     fn wavefront_fills_whole_matrix() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let s = r.global_array(&tr, "score").unwrap();
+        let s = r.global_array(&tr.tr, "score").unwrap();
         let n = Scale::default().n.max(8);
         // Bottom-right cell must have been computed (nonzero path cost).
         assert_ne!(s[(n - 1) * n + (n - 1)], 0.0);

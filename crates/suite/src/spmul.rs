@@ -134,13 +134,14 @@ mod tests {
     fn x_stays_normalized() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let x = r.global_array(&tr, "x").unwrap();
+        let x = r.global_array(&tr.tr, "x").unwrap();
         let norm: f64 = x.iter().map(|v| v * v).sum();
         // After the final rescale x has unit norm.
         assert!((norm - 1.0).abs() < 1e-9, "{norm}");

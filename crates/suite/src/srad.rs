@@ -158,13 +158,14 @@ mod tests {
     fn diffusion_reduces_variance() {
         let b = benchmark(Scale::default());
         let (tr, r) = crate::run_variant(
+            &Default::default(),
             &b,
             Variant::Optimized,
             &Default::default(),
             &Default::default(),
         )
         .unwrap();
-        let img = r.global_array(&tr, "img").unwrap();
+        let img = r.global_array(&tr.tr, "img").unwrap();
         let mean: f64 = img.iter().sum::<f64>() / img.len() as f64;
         let var: f64 = img.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / img.len() as f64;
         // Initial pattern variance is ~0.01; diffusion must shrink it.

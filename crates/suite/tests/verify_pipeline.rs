@@ -6,6 +6,7 @@
 //! simulated clock — at every comparison job count.
 
 use openarc_core::exec::{execute, ExecMode, ExecOptions, RunResult, VerifyOptions};
+use openarc_core::pipeline::Session;
 use openarc_core::translate::TranslateOptions;
 use openarc_gpusim::TimeCategory;
 use openarc_suite::{all, translate_variant, Scale, Variant};
@@ -37,17 +38,24 @@ fn run_verify(
 /// oracle bit-for-bit.
 #[test]
 fn pipelined_verify_matches_sequential_oracle_on_all_benchmarks() {
+    let session = Session::default();
     for b in all(Scale::default()) {
-        let tr = translate_variant(&b, Variant::Optimized, &TranslateOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let (oracle, oracle_events) = run_verify(&tr, b.name, false, 1);
+        let tra = translate_variant(
+            &session,
+            &b,
+            Variant::Optimized,
+            &TranslateOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let tr = &tra.tr;
+        let (oracle, oracle_events) = run_verify(tr, b.name, false, 1);
         assert!(
             !oracle.verify.is_empty(),
             "{}: no kernels were verified",
             b.name
         );
         for jobs in [1usize, 3, 8] {
-            let (r, events) = run_verify(&tr, b.name, true, jobs);
+            let (r, events) = run_verify(tr, b.name, true, jobs);
             let ctx = format!("{} jobs={jobs}", b.name);
             assert_eq!(r.verify.len(), oracle.verify.len(), "{ctx}: kernel count");
             for (v, o) in r.verify.iter().zip(&oracle.verify) {

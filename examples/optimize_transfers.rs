@@ -15,24 +15,27 @@ fn main() {
         instrument: true,
         ..Default::default()
     };
-    let (program, sema) = frontend(b.source(Variant::Unoptimized)).unwrap();
-    let tr = translate(&program, &sema, &topts).unwrap();
-    let run = execute(
-        &tr,
-        &ExecOptions {
-            check_transfers: true,
-            race_detect: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let session = Session::default();
+    let fe = session.frontend(b.source(Variant::Unoptimized)).unwrap();
+    let tr = session.translate(&fe, &topts).unwrap();
+    let run = session
+        .execute(
+            &tr,
+            &ExecOptions {
+                check_transfers: true,
+                race_detect: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
     println!("--- tool report (first profiling run) ---");
     print!("{}", run.machine.report);
 
     // Drive the loop to a fixpoint.
     let out = optimize_transfers(
-        &program,
-        &sema,
+        &session,
+        &fe.program,
+        &fe.sema,
         &topts,
         &b.outputs,
         &ExecOptions {

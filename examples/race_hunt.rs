@@ -9,9 +9,10 @@ use openarc::core::faults::strip_privatization;
 use openarc::prelude::*;
 
 fn main() {
+    let session = Session::default();
     for b in openarc::suite::all(Scale::default()) {
-        let (program, sema) = frontend(b.source(Variant::Optimized)).unwrap();
-        let (faulty, stats) = strip_privatization(&program).unwrap();
+        let fe = session.frontend(b.source(Variant::Optimized)).unwrap();
+        let (faulty, stats) = strip_privatization(&fe.program).unwrap();
         if stats.private_removed + stats.reductions_removed == 0 {
             println!("{:<10} no clauses to strip", b.name);
             continue;
@@ -21,7 +22,10 @@ fn main() {
             auto_reduction: false,
             ..Default::default()
         };
-        let (_, report) = verify_kernels(&faulty, &sema, &topts, VerifyOptions::default()).unwrap();
+        let faulty = session.frontend_program(faulty, fe.sema.clone());
+        let (_, report) = session
+            .verify(&faulty, &topts, VerifyOptions::default())
+            .unwrap();
         let active: Vec<&str> = report
             .kernels
             .iter()

@@ -27,33 +27,33 @@ void main() {
     }
 }
 "#;
-    let (program, sema) = frontend(src).expect("frontend");
+    let session = Session::default();
+    let fe = session.frontend(src).expect("frontend");
 
     // 1. Show the memory-transfer demotion (Listing 2).
-    let demoted = demote_source(&program, &std::iter::once(0).collect(), 1).unwrap();
+    let demoted = demote_source(&fe.program, &std::iter::once(0).collect(), 1).unwrap();
     println!("--- demoted program (target kernel 0) ---");
     println!("{}", openarc::minic::print_program(&demoted));
 
     // 2. Verify the healthy program: clean.
-    let (_, ok) = verify_kernels(
-        &program,
-        &sema,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let (_, ok) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     println!("healthy program: {} kernel(s) flagged", ok.flagged().len());
     assert!(ok.flagged().is_empty());
 
     // 3. Inject the fault: strip private(tmp), disable recognition.
-    let (faulty, stats) = strip_privatization(&program).unwrap();
+    let (faulty, stats) = strip_privatization(&fe.program).unwrap();
     println!("stripped {} private clause(s)", stats.private_removed);
+    let faulty = session.frontend_program(faulty, fe.sema.clone());
     let topts = TranslateOptions {
         auto_privatize: false,
         auto_reduction: false,
         ..Default::default()
     };
-    let (_, bad) = verify_kernels(&faulty, &sema, &topts, VerifyOptions::default()).unwrap();
+    let (_, bad) = session
+        .verify(&faulty, &topts, VerifyOptions::default())
+        .unwrap();
     for k in &bad.kernels {
         println!(
             "kernel {}: launches={} failed={} max |err| = {:.3}",

@@ -52,8 +52,9 @@ pub mod prelude {
         execute, ExecMode, ExecOptions, RunResult, TransferOverlay, VerifyOptions,
     };
     pub use openarc_core::interactive::{optimize_transfers, OutputSpec};
+    pub use openarc_core::pipeline::Session;
     pub use openarc_core::translate::{translate, TranslateOptions, Translated};
-    pub use openarc_core::verify::{demote_source, verify_kernels};
+    pub use openarc_core::verify::{demote_source, VerificationReport};
     pub use openarc_minic::frontend;
     pub use openarc_suite::{Benchmark, Scale, Variant};
     pub use openarc_trace::{chrome_trace, explain_var, summarize, Journal};

@@ -115,6 +115,29 @@ fn bad_source_reports_diagnostic() {
 }
 
 #[test]
+fn too_deep_source_is_a_diagnostic_not_a_crash() {
+    let n = 10_000;
+    let main = |body: String| format!("int c;\nvoid main() {{\n{body}\n}}\n");
+    for (name, src) in [
+        (
+            "deep_parens.c",
+            main(format!("c = {}1{};", "(".repeat(n), ")".repeat(n))),
+        ),
+        ("deep_ifs.c", main(format!("{}c = 1;", "if (c) ".repeat(n)))),
+        (
+            "long_sum.c",
+            main(format!("c = 1{};", " + 1".repeat(10 * n))),
+        ),
+    ] {
+        let path = write_temp(name, &src);
+        let out = bin().arg("check").arg(&path).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains("nests deeper than"), "{name}: {text}");
+    }
+}
+
+#[test]
 fn unknown_command_shows_usage() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -54,13 +54,11 @@ fn listing2_demotion_then_verification_passes() {
     assert!(text.contains("copy(q)"), "{text}");
     assert!(text.contains("copyin(w)"), "{text}");
     // Full verification of the original program: clean, runs per launch.
-    let (_, report) = verify_kernels(
-        &p,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let session = Session::default();
+    let fe = session.frontend_program(p, s);
+    let (_, report) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(report.flagged().is_empty());
     assert_eq!(report.kernels[0].launches, 6);
 }
@@ -77,34 +75,30 @@ void main() {
     for (j = 0; j < 128; j++) { s += a[j]; }
 }
 "#;
-    let (p, s) = frontend(src).unwrap();
+    let session = Session::default();
+    let fe = session.frontend(src).unwrap();
     // Healthy: clause present → clean.
-    let (_, ok) = verify_kernels(
-        &p,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let (_, ok) = session
+        .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(ok.flagged().is_empty());
     // Fault-injected: stripped + recognition off → detected.
-    let (bad, _) = strip_privatization(&p).unwrap();
+    let (bad, _) = strip_privatization(&fe.program).unwrap();
+    let bad = session.frontend_program(bad, fe.sema.clone());
     let topts = TranslateOptions {
         auto_privatize: false,
         auto_reduction: false,
         ..Default::default()
     };
-    let (_, flagged) = verify_kernels(&bad, &s, &topts, VerifyOptions::default()).unwrap();
+    let (_, flagged) = session
+        .verify(&bad, &topts, VerifyOptions::default())
+        .unwrap();
     assert_eq!(flagged.flagged().len(), 1);
     // Recognition ON rescues the stripped program (OpenARC's automatic
     // reduction recognition).
-    let (_, rescued) = verify_kernels(
-        &bad,
-        &s,
-        &TranslateOptions::default(),
-        VerifyOptions::default(),
-    )
-    .unwrap();
+    let (_, rescued) = session
+        .verify(&bad, &TranslateOptions::default(), VerifyOptions::default())
+        .unwrap();
     assert!(rescued.flagged().is_empty());
 }
 
@@ -115,18 +109,24 @@ fn jacobi_interactive_reaches_hand_optimized_transfer_count() {
         instrument: true,
         ..Default::default()
     };
-    let (p, s) = frontend(b.source(Variant::Unoptimized)).unwrap();
     let eopts = ExecOptions {
         race_detect: false,
         ..Default::default()
     };
-    let out = optimize_transfers(&p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
+    let session = Session::default();
+    let (p, s) = frontend(b.source(Variant::Unoptimized)).unwrap();
+    let out = optimize_transfers(&session, &p, &s, &topts, &b.outputs, &eopts, 10).unwrap();
     assert!(out.converged);
     assert_eq!(out.incorrect_iterations, 0);
     // Hand-optimized reference.
-    let (_, opt) =
-        openarc::suite::run_variant(&b, Variant::Optimized, &TranslateOptions::default(), &eopts)
-            .unwrap();
+    let (_, opt) = openarc::suite::run_variant(
+        &session,
+        &b,
+        Variant::Optimized,
+        &TranslateOptions::default(),
+        &eopts,
+    )
+    .unwrap();
     assert_eq!(
         out.final_stats.total_count(),
         opt.machine.stats.total_count(),
@@ -151,10 +151,17 @@ fn figure1_shape_naive_never_beats_optimized() {
             race_detect: false,
             ..Default::default()
         };
-        let (_, naive) =
-            openarc::suite::run_variant(&b, Variant::Naive, &TranslateOptions::default(), &eopts)
-                .unwrap();
+        let session = Session::default();
+        let (_, naive) = openarc::suite::run_variant(
+            &session,
+            &b,
+            Variant::Naive,
+            &TranslateOptions::default(),
+            &eopts,
+        )
+        .unwrap();
         let (_, opt) = openarc::suite::run_variant(
+            &session,
             &b,
             Variant::Optimized,
             &TranslateOptions::default(),

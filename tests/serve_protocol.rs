@@ -131,6 +131,29 @@ fn framing_abuse_gets_structured_errors_never_a_hang() {
 }
 
 #[test]
+fn too_deep_source_is_a_program_error_and_the_daemon_keeps_serving() {
+    let (addr, handle) = start(quiet());
+    let mut c = Client::connect(addr);
+    let n = 10_000;
+    let deep = format!(
+        "int c;\nvoid main() {{\n c = {}1{};\n}}\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let v = c.round_trip(&Request::new(Action::Check, deep).to_json().to_string());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    let e = ApiError::from_json(v.get("error").unwrap()).unwrap();
+    assert_eq!(e.kind, ErrorKind::Program);
+    assert!(e.message.contains("nests deeper than"), "{}", e.message);
+    // The same connection, and so the same worker pool, still answers.
+    let v = c.round_trip(&Request::new(Action::Check, SAXPY).to_json().to_string());
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    let resp = Response::from_json(v.get("response").unwrap()).unwrap();
+    assert_eq!(resp.exit_code, 0);
+    c.shutdown(handle);
+}
+
+#[test]
 fn overload_refusals_carry_a_retry_hint() {
     // 1 worker and a queue of 1: firing several concurrent requests must
     // refuse at least one with `overloaded` + retry_after_ms, and every

@@ -7,14 +7,11 @@ use openarc::prelude::*;
 #[test]
 fn every_benchmark_verifies_clean_when_healthy() {
     for b in openarc::suite::all(Scale::default()) {
-        let (p, s) = frontend(b.source(Variant::Optimized)).unwrap();
-        let (tr, report) = verify_kernels(
-            &p,
-            &s,
-            &TranslateOptions::default(),
-            VerifyOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let session = Session::default();
+        let fe = session.frontend(b.source(Variant::Optimized)).unwrap();
+        let (tr, report) = session
+            .verify(&fe, &TranslateOptions::default(), VerifyOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert!(
             report.flagged().is_empty(),
             "{}: healthy program flagged: {:?}",
@@ -26,7 +23,7 @@ fn every_benchmark_verifies_clean_when_healthy() {
             assert!(k.launches > 0, "{}: {} never verified", b.name, k.kernel);
             assert!(k.compared_elems > 0 || k.kernel.is_empty() || k.launches > 0);
         }
-        assert_eq!(tr.kernels.len(), b.n_kernels, "{}", b.name);
+        assert_eq!(tr.tr.kernels.len(), b.n_kernels, "{}", b.name);
     }
 }
 
@@ -46,30 +43,34 @@ fn fault_injection_never_escapes_detection_when_output_corrupting() {
             auto_reduction: false,
             ..Default::default()
         };
-        let tr = match translate(&stripped, &s, &topts) {
+        let session = Session::default();
+        let fe = session.frontend_program(stripped, s);
+        let tr = match session.translate(&fe, &topts) {
             Ok(tr) => tr,
             Err(e) => panic!("{}: {e:?}", b.name),
         };
         // Ground truth: does the race corrupt final outputs?
-        let cpu = execute(
-            &tr,
-            &ExecOptions {
-                mode: ExecMode::CpuOnly,
-                race_detect: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let gpu = execute(&tr, &ExecOptions::default()).unwrap();
-        let reference = openarc::core::interactive::capture_outputs(&tr, &cpu, &b.outputs);
+        let cpu = session
+            .execute(
+                &tr,
+                &ExecOptions {
+                    mode: ExecMode::CpuOnly,
+                    race_detect: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let gpu = session.execute(&tr, &ExecOptions::default()).unwrap();
+        let reference = openarc::core::interactive::capture_outputs(&tr.tr, &cpu, &b.outputs);
         let corrupted = !openarc::core::interactive::outputs_match(
-            &tr,
+            &tr.tr,
             &gpu,
             &reference,
             b.outputs.tol.max(1e-9),
         );
         // Verification verdict.
-        let (_, report) = verify_kernels(&stripped, &s, &topts, VerifyOptions::default())
+        let (_, report) = session
+            .verify(&fe, &topts, VerifyOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         if corrupted {
             assert!(
@@ -138,16 +139,17 @@ fn naive_variant_moves_at_least_as_much_data() {
             race_detect: false,
             ..Default::default()
         };
-        let naive = openarc::suite::run_variant(&b, Variant::Naive, &Default::default(), &eopts)
-            .unwrap()
-            .1;
-        let unopt =
-            openarc::suite::run_variant(&b, Variant::Unoptimized, &Default::default(), &eopts)
+        let session = Session::default();
+        let run = |v: Variant| {
+            openarc::suite::run_variant(&session, &b, v, &Default::default(), &eopts)
                 .unwrap()
-                .1;
-        let opt = openarc::suite::run_variant(&b, Variant::Optimized, &Default::default(), &eopts)
-            .unwrap()
-            .1;
+                .1
+        };
+        let (naive, unopt, opt) = (
+            run(Variant::Naive),
+            run(Variant::Unoptimized),
+            run(Variant::Optimized),
+        );
         let (nb, ub, ob) = (
             naive.machine.stats.total_bytes(),
             unopt.machine.stats.total_bytes(),

@@ -21,7 +21,7 @@ fn assert_reconciles(b: &openarc::suite::Benchmark, v: Variant) {
         journal: journal.clone(),
         ..Default::default()
     };
-    let (_, r) = openarc::suite::run_variant(b, v, &topts, &eopts).unwrap();
+    let (_, r) = openarc::suite::run_variant(&Session::default(), b, v, &topts, &eopts).unwrap();
     let events = journal.snapshot();
     assert!(
         !events.is_empty(),
@@ -78,7 +78,9 @@ fn verify_mode_journals_verification_events() {
         journal: journal.clone(),
         ..Default::default()
     };
-    let (_, r) = openarc::suite::run_variant(&b, Variant::Naive, &topts, &eopts).unwrap();
+    let (_, r) =
+        openarc::suite::run_variant(&Session::default(), &b, Variant::Naive, &topts, &eopts)
+            .unwrap();
     let events = journal.snapshot();
     let verdicts: Vec<_> = events
         .iter()
