@@ -359,31 +359,32 @@ impl ExecEnv<'_> {
 
     /// Run a host-module function to completion against host memory only.
     pub(super) fn run_host_fn(&mut self, name: &str, args: &[Value]) -> Result<u64, VmError> {
-        let mut t = openarc_vm::ThreadState::new(&self.tr.host_module, name, args)?;
         // The fallback touches only parameters, so a plain host env view is
         // enough; reuse self as the env (globals resolve fine).
-        while !t.is_done() {
-            t.step(&self.tr.host_module, self)?;
-        }
-        Ok(t.steps)
+        let tr = self.tr;
+        Ok(openarc_vm::call_function(&tr.host_module, self, name, args, u64::MAX)?.1)
     }
 }
 
 impl Env for ExecEnv<'_> {
+    #[inline]
     fn load_global(&mut self, slot: u16) -> Result<Value, VmError> {
         self.machine.host.load_global(slot)
     }
 
+    #[inline]
     fn store_global(&mut self, slot: u16, v: Value) -> Result<(), VmError> {
         self.machine.host.store_global(slot, v)
     }
 
-    fn load_elem(&mut self, h: Handle, idx: u64) -> Result<Value, VmError> {
-        self.machine.host.load_elem(h, idx)
+    #[inline]
+    fn load_elem(&mut self, tid: u64, h: Handle, idx: u64) -> Result<Value, VmError> {
+        self.machine.host.load_elem(tid, h, idx)
     }
 
-    fn store_elem(&mut self, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
-        self.machine.host.store_elem(h, idx, v)
+    #[inline]
+    fn store_elem(&mut self, tid: u64, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
+        self.machine.host.store_elem(tid, h, idx, v)
     }
 
     fn malloc(&mut self, elem: ScalarTy, len: u64, label: &str) -> Result<Handle, VmError> {

@@ -42,7 +42,7 @@ use openarc_gpusim::{CostModel, DeviceId, LaunchConfig, RaceReport};
 use openarc_runtime::Machine;
 use openarc_trace::Journal;
 use openarc_vm::interp::BasicEnv;
-use openarc_vm::{ThreadState, Value, VmError, GLOBALS_INIT};
+use openarc_vm::{call_function, Value, VmError, Wave, GLOBALS_INIT};
 use std::collections::{BTreeSet, HashMap};
 
 /// §III-C application-knowledge assertion kinds.
@@ -283,7 +283,10 @@ pub struct RunResult {
     pub races: Vec<(String, RaceReport)>,
     /// Total kernel launches.
     pub kernel_launches: u64,
-    /// Host instructions interpreted.
+    /// Instructions `main` executed. The sequential (`__seq_*`) fallbacks
+    /// and the verifier's CPU reference runs are not counted here (they
+    /// are charged to the simulated clock separately), so this is not the
+    /// interpreter's total host work.
     pub host_instrs: u64,
 }
 
@@ -365,10 +368,7 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
         t0: std::time::Instant::now(),
     };
 
-    let mut t = ThreadState::new(&tr.host_module, GLOBALS_INIT, &[])?;
-    while !t.is_done() {
-        t.step(&tr.host_module, &mut env)?;
-    }
+    call_function(&tr.host_module, &mut env, GLOBALS_INIT, &[], u64::MAX)?;
     // `declare` clauses: program-lifetime device residency.
     if !matches!(opts.mode, ExecMode::CpuOnly | ExecMode::Verify(_)) {
         for a in &tr.declares {
@@ -381,15 +381,13 @@ pub fn execute(tr: &Translated, opts: &ExecOptions) -> Result<RunResult, VmError
             }
         }
     }
-    let mut t = ThreadState::new(&tr.host_module, "main", &[])?;
+    // `main` runs round by round (one instruction each) so the simulated
+    // CPU time it accrues is charged at every runtime op.
+    let mut main = Wave::call(&tr.host_module, "main", &[])?;
     let mut steps: u64 = 0;
-    while !t.is_done() {
-        t.step(&tr.host_module, &mut env)?;
+    while !main.is_done() {
+        main.round(&tr.host_module, &mut env, &mut steps, opts.step_budget)?;
         env.pending_cpu += 1;
-        steps += 1;
-        if steps > opts.step_budget {
-            return Err(VmError::StepLimit(opts.step_budget));
-        }
     }
     env.flush_cpu();
     if !matches!(opts.mode, ExecMode::CpuOnly | ExecMode::Verify(_)) {

@@ -42,7 +42,7 @@ use crate::sched::{chunk_ranges, run_tasks};
 use openarc_gpusim::{launch, DeviceId, KernelOutcome, TimeCategory};
 use openarc_minic::ScalarTy;
 use openarc_vm::interp::BasicEnv;
-use openarc_vm::{Buffer, Handle, MemSpace, Module, ThreadState, Value, VmError};
+use openarc_vm::{call_function, Buffer, Handle, MemSpace, Module, Value, VmError};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -83,11 +83,7 @@ fn run_reference(
     name: &str,
     args: &[Value],
 ) -> Result<u64, VmError> {
-    let mut t = ThreadState::new(module, name, args)?;
-    while !t.is_done() {
-        t.step(module, host)?;
-    }
-    Ok(t.steps)
+    Ok(call_function(module, host, name, args, u64::MAX)?.1)
 }
 
 /// Raw demotion byte copies, host buffer → device mirror. Pure data

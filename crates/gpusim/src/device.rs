@@ -4,7 +4,6 @@
 use crate::race::{AccessKind, RaceDetector};
 use openarc_minic::ScalarTy;
 use openarc_vm::{Env, Handle, MemSpace, Value, VmError};
-use std::collections::HashMap;
 
 /// Identifier of one simulated device within a [`DeviceSet`].
 ///
@@ -107,39 +106,12 @@ impl Default for DeviceSet {
 pub struct DeviceEnv<'a> {
     mem: &'a mut MemSpace,
     races: Option<&'a mut RaceDetector>,
-    labels: HashMap<Handle, String>,
-    /// Id of the thread currently being stepped (set by the executor).
-    pub current_tid: u64,
 }
 
 impl<'a> DeviceEnv<'a> {
     /// Wrap device memory (and optionally a race detector) for one launch.
     pub fn new(mem: &'a mut MemSpace, races: Option<&'a mut RaceDetector>) -> DeviceEnv<'a> {
-        DeviceEnv {
-            mem,
-            races,
-            labels: HashMap::new(),
-            current_tid: 0,
-        }
-    }
-
-    fn label_of(&mut self, h: Handle) -> String {
-        if let Some(l) = self.labels.get(&h) {
-            return l.clone();
-        }
-        let l = self.mem.get(h).map(|b| b.label.clone()).unwrap_or_default();
-        self.labels.insert(h, l.clone());
-        l
-    }
-
-    fn note(&mut self, h: Handle, idx: u64, kind: AccessKind) {
-        if self.races.is_some() {
-            let tid = self.current_tid;
-            let label = self.label_of(h);
-            if let Some(r) = self.races.as_deref_mut() {
-                r.record(h, &label, idx, tid, kind);
-            }
-        }
+        DeviceEnv { mem, races }
     }
 }
 
@@ -156,14 +128,22 @@ impl Env for DeviceEnv<'_> {
         )))
     }
 
-    fn load_elem(&mut self, h: Handle, idx: u64) -> Result<Value, VmError> {
-        self.note(h, idx, AccessKind::Read);
-        self.mem.load(h, idx)
+    #[inline]
+    fn load_elem(&mut self, tid: u64, h: Handle, idx: u64) -> Result<Value, VmError> {
+        let buf = self.mem.get(h)?;
+        if let Some(r) = self.races.as_deref_mut() {
+            r.record(h, buf, idx, tid, AccessKind::Read);
+        }
+        buf.get(idx)
     }
 
-    fn store_elem(&mut self, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
-        self.note(h, idx, AccessKind::Write);
-        self.mem.store(h, idx, v)
+    #[inline]
+    fn store_elem(&mut self, tid: u64, h: Handle, idx: u64, v: Value) -> Result<(), VmError> {
+        let buf = self.mem.get_mut(h)?;
+        if let Some(r) = self.races.as_deref_mut() {
+            r.record(h, buf, idx, tid, AccessKind::Write);
+        }
+        buf.set(idx, v)
     }
 
     fn malloc(&mut self, _elem: ScalarTy, _len: u64, _label: &str) -> Result<Handle, VmError> {
@@ -189,10 +169,8 @@ mod tests {
         let h = mem.alloc(ScalarTy::Double, 4, "a");
         let mut det = RaceDetector::new();
         let mut env = DeviceEnv::new(&mut mem, Some(&mut det));
-        env.current_tid = 0;
-        env.store_elem(h, 0, Value::F64(1.0)).unwrap();
-        env.current_tid = 1;
-        env.store_elem(h, 0, Value::F64(2.0)).unwrap();
+        env.store_elem(0, h, 0, Value::F64(1.0)).unwrap();
+        env.store_elem(1, h, 0, Value::F64(2.0)).unwrap();
         assert!(det.any());
         assert_eq!(det.reports()[0].label, "a");
     }
@@ -202,8 +180,8 @@ mod tests {
         let mut mem = MemSpace::new();
         let h = mem.alloc(ScalarTy::Int, 2, "x");
         let mut env = DeviceEnv::new(&mut mem, None);
-        env.store_elem(h, 1, Value::Int(9)).unwrap();
-        assert_eq!(env.load_elem(h, 1).unwrap(), Value::Int(9));
+        env.store_elem(0, h, 1, Value::Int(9)).unwrap();
+        assert_eq!(env.load_elem(0, h, 1).unwrap(), Value::Int(9));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Lockstep kernel executor.
 //!
 //! Kernels are MiniC functions compiled to bytecode whose first parameter
-//! is the global thread id. The executor instantiates one resumable
-//! [`ThreadState`] per thread and steps them **round-robin, one instruction
-//! at a time**, in waves of bounded width (like resident thread blocks).
+//! is the global thread id. The executor resolves the kernel once per
+//! launch into an [`openarc_vm::Wave`] and runs the threads in waves of
+//! bounded width (like resident thread blocks), reusing the lanes' stacks
+//! and locals from wave to wave. Within a wave every live thread executes
+//! **one instruction per round, in thread-id order**; while all of them
+//! share a pc the round decodes the instruction once (see
+//! `openarc_vm::interp`).
 //!
 //! Lockstep interleaving is what makes the paper's target bugs observable:
 //! when a privatization is missed and a scalar temporary is shared, every
@@ -12,7 +16,7 @@
 
 use crate::device::{Device, DeviceEnv};
 use crate::race::{RaceDetector, RaceReport};
-use openarc_vm::{Module, ThreadState, Value, VmError};
+use openarc_vm::{Module, Value, VmError, Wave};
 
 /// Execution knobs for one launch.
 #[derive(Debug, Clone)]
@@ -59,43 +63,24 @@ pub fn launch(
         n_threads,
         ..Default::default()
     };
+    // No thread runs, so the kernel is never resolved (nor its name
+    // checked).
+    if n_threads == 0 {
+        return Ok(outcome);
+    }
+    let mut wave = Wave::kernel(module, kernel, base_args)?;
     let mut detector = device.race_detect.then(RaceDetector::new);
-    let wave = cfg.wave.max(1) as u64;
+    let mut env = DeviceEnv::new(&mut device.mem, detector.as_mut());
+    let width = cfg.wave.max(1) as u64;
     let mut spent: u64 = 0;
-
     let mut start = 0u64;
     while start < n_threads {
-        let end = (start + wave).min(n_threads);
-        let mut threads: Vec<ThreadState> = Vec::with_capacity((end - start) as usize);
-        let mut args: Vec<Value> = Vec::with_capacity(base_args.len() + 1);
-        for tid in start..end {
-            args.clear();
-            args.push(Value::Int(tid as i64));
-            args.extend_from_slice(base_args);
-            threads.push(ThreadState::new(module, kernel, &args)?);
-        }
-        let mut env = DeviceEnv::new(&mut device.mem, detector.as_mut());
-        // Lockstep: one instruction per live thread per round.
-        let mut live = threads.len();
-        while live > 0 {
-            for (i, t) in threads.iter_mut().enumerate() {
-                if t.is_done() {
-                    continue;
-                }
-                env.current_tid = start + i as u64;
-                t.step(module, &mut env)?;
-                spent += 1;
-                if spent > cfg.step_budget {
-                    return Err(VmError::StepLimit(cfg.step_budget));
-                }
-                if t.is_done() {
-                    live -= 1;
-                }
-            }
-        }
-        for t in &threads {
-            outcome.total_instrs += t.steps;
-            outcome.max_thread_instrs = outcome.max_thread_instrs.max(t.steps);
+        let end = (start + width).min(n_threads);
+        wave.reset(start, (end - start) as usize);
+        wave.run(module, &mut env, &mut spent, cfg.step_budget)?;
+        for steps in wave.lane_steps() {
+            outcome.total_instrs += steps;
+            outcome.max_thread_instrs = outcome.max_thread_instrs.max(steps);
         }
         start = end;
     }
@@ -317,5 +302,157 @@ mod tests {
         )
         .unwrap();
         assert!(out.races.is_empty());
+    }
+
+    // ------------------------------------------------------------------
+    // Pinned lockstep interleavings. Every expected string below was
+    // recorded from a one-interpreter-per-thread round-robin executor
+    // (no converged rounds); a change to the interleaving (which lane's
+    // write a shared cell ends up holding, which accesses race, how many
+    // instructions ran) shows up as a diff here.
+
+    /// Launch `src`'s kernel `k` over `n` threads in waves of `wave`,
+    /// with one zeroed int buffer per label in `bufs` passed in order.
+    /// Returns the launch result and the buffers' contents.
+    fn pinned_run(
+        src: &str,
+        bufs: &[(&str, usize)],
+        n: u64,
+        wave: u32,
+        step_budget: u64,
+    ) -> (Result<KernelOutcome, VmError>, String) {
+        let m = kernel_module(src);
+        let mut dev = Device::new();
+        let hs: Vec<_> = bufs
+            .iter()
+            .map(|(l, len)| dev.mem.alloc(ScalarTy::Int, *len, *l))
+            .collect();
+        let args: Vec<Value> = hs.iter().map(|h| Value::Ptr(*h)).collect();
+        let cfg = LaunchConfig { wave, step_budget };
+        let r = launch(&mut dev, &m, "k", &args, n, &cfg);
+        let mem: Vec<String> = bufs
+            .iter()
+            .zip(&hs)
+            .map(|((l, len), h)| {
+                let vals: Vec<String> = (0..*len as u64)
+                    .map(|i| dev.mem.load(*h, i).unwrap().to_string())
+                    .collect();
+                format!("{l}=[{}]", vals.join(","))
+            })
+            .collect();
+        (r, mem.join(" "))
+    }
+
+    /// `pinned_run` of a launch that must succeed, rendered as one line:
+    /// memory, instruction counts and every race report field.
+    fn pinned(src: &str, bufs: &[(&str, usize)], n: u64, wave: u32) -> String {
+        let (r, mem) = pinned_run(src, bufs, n, wave, 2_000_000_000);
+        let out = r.expect("launch");
+        let races: Vec<String> = out
+            .races
+            .iter()
+            .map(|r| {
+                format!(
+                    "{}:{}@{}{:?}",
+                    r.label, r.conflicts, r.example_idx, r.example_threads
+                )
+            })
+            .collect();
+        format!(
+            "{mem} total={} max={} races=[{}]",
+            out.total_instrs,
+            out.max_thread_instrs,
+            races.join(" ")
+        )
+    }
+
+    #[test]
+    fn pinned_divergent_branch_reconverges() {
+        // Both arms are the same length, so the lanes split on the
+        // tid-dependent branch and meet again at `t[0] = x`: the shared
+        // cell then holds the last lane's value when every lane reads it.
+        let got = pinned(
+            "void k(int gid, int *a, int *t) { int x; if (gid % 3 == 0) { x = gid * 3; } else { x = -gid + 1; } t[0] = x; a[gid] = t[0] + x; }",
+            &[("a", 12), ("t", 1)],
+            12,
+            8,
+        );
+        assert_eq!(got, "a=[-6,-6,-7,3,-9,-10,12,-12,-17,17,-19,-20] t=[-10] total=336 max=28 races=[t:21@0(0, 1)]");
+    }
+
+    #[test]
+    fn pinned_tid_dependent_trip_count() {
+        let got = pinned(
+            "void k(int gid, int *a, int *acc) { int i; int s; s = 0; for (i = 0; i < gid % 5; i++) { s = s + i; acc[0] = acc[0] + 1; } a[gid] = s; }",
+            &[("a", 11), ("acc", 1)],
+            11,
+            4,
+        );
+        assert_eq!(
+            got,
+            "a=[0,0,1,3,6,0,0,1,3,6,0] acc=[11] total=738 max=126 races=[acc:30@0(3, 1)]"
+        );
+    }
+
+    #[test]
+    fn pinned_device_function_call() {
+        let got = pinned(
+            "int clampv(int v, int hi) { if (v > hi) return hi; return v; }\nint sq(int v) { return v * v; }\nvoid k(int gid, int *a, int *t) { t[0] = sq(gid); a[gid] = clampv(t[0] + sq(gid + 1), 40); }",
+            &[("a", 10), ("t", 1)],
+            10,
+            8,
+        );
+        assert_eq!(
+            got,
+            "a=[40,40,40,40,40,40,40,40,40,40] t=[81] total=390 max=39 races=[t:17@0(0, 1)]"
+        );
+    }
+
+    #[test]
+    fn pinned_early_return() {
+        let got = pinned(
+            "void k(int gid, int *a, int *t) { if (gid % 4 == 1) { return; } t[0] = gid; a[gid] = t[0] + 1; }",
+            &[("a", 9), ("t", 1)],
+            9,
+            8,
+        );
+        assert_eq!(
+            got,
+            "a=[8,0,8,8,8,0,8,8,9] t=[8] total=168 max=22 races=[t:11@0(0, 2)]"
+        );
+    }
+
+    #[test]
+    fn pinned_race_in_divergent_branch() {
+        // A missed privatization of `t` only on the even lanes.
+        let got = pinned(
+            "void k(int gid, int *a, int *t) { if (gid % 2 == 0) { t[0] = gid; a[gid] = t[0] * 2; } else { a[gid] = 1; } }",
+            &[("a", 10), ("t", 1)],
+            10,
+            16,
+        );
+        assert_eq!(
+            got,
+            "a=[16,1,16,1,16,1,16,1,16,1] t=[8] total=175 max=23 races=[t:8@0(0, 2)]"
+        );
+    }
+
+    #[test]
+    fn pinned_step_limit_mid_wave() {
+        // 20 threads in waves of 8; the budget runs out in the middle of
+        // a round of the second wave. The stores that landed before the
+        // limit fired stay in device memory.
+        let (r, mem) = pinned_run(
+            "void k(int gid, int *a) { a[gid] = gid; a[gid] = a[gid] + 100; }",
+            &[("a", 20)],
+            20,
+            8,
+            163,
+        );
+        assert_eq!(r.unwrap_err(), VmError::StepLimit(163));
+        assert_eq!(
+            mem,
+            "a=[100,101,102,103,104,105,106,107,8,9,10,11,0,0,0,0,0,0,0,0]"
+        );
     }
 }

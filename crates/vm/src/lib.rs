@@ -1,18 +1,21 @@
 //! # openarc-vm
 //!
-//! Bytecode compiler and resumable interpreter for MiniC.
+//! Bytecode compiler and wave interpreter for MiniC.
 //!
-//! The same bytecode executes in two worlds:
+//! The same bytecode executes in two worlds, on one engine
+//! ([`interp::Wave`]):
 //!
-//! * **Host**: a single [`interp::ThreadState`] running the translated host
-//!   program against host memory (plus runtime hooks, in `openarc-runtime`).
-//! * **Device**: many `ThreadState`s — one per simulated GPU thread —
-//!   stepped in lockstep by `openarc-gpusim` against device memory.
+//! * **Host**: a one-lane wave running the translated host program against
+//!   host memory (plus runtime hooks, in `openarc-core`).
+//! * **Device**: waves of many lanes — one per simulated GPU thread —
+//!   advanced in lockstep rounds by `openarc-gpusim` against device
+//!   memory.
 //!
-//! Resumable stepping (one instruction per [`interp::ThreadState::step`])
-//! is the key property: it lets the device simulator interleave threads
-//! deterministically, so the data races the paper's kernel-verification
-//! tool must catch actually occur and are reproducible.
+//! Lockstep rounds (one instruction per live lane per
+//! [`interp::Wave::round`], in thread-id order) are the key property:
+//! they interleave threads deterministically, so the data races the
+//! paper's kernel-verification tool must catch actually occur and are
+//! reproducible.
 
 #![warn(missing_docs)]
 
@@ -27,6 +30,6 @@ pub mod value;
 pub use bytecode::{Chunk, GlobalInfo, Instr, Intrinsic, Module};
 pub use compile::{compile, GLOBALS_INIT, HOST_OP};
 pub use error::VmError;
-pub use interp::{call_function, BasicEnv, Env, Step, ThreadState};
+pub use interp::{call_function, BasicEnv, Env, Wave};
 pub use mem::{BufData, Buffer, MemSpace};
 pub use value::{Handle, Value};
